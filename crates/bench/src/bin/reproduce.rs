@@ -6,8 +6,8 @@
 //! targets:
 //!   table1 table2 fig4 fig5 fig7 fig8 fig9 fig10 fig11 fig12
 //!   ablation-pack ablation-batch ablation-kernel-size ablation-fmls
-//!   ablation-schedule callamort obs tune widths backends trace sentinel
-//!   watch verify all
+//!   ablation-schedule callamort crossover obs tune widths backends trace
+//!   sentinel watch verify all
 //! ```
 //!
 //! `callamort` measures call-amortization: per-call cost of a prebuilt
@@ -15,6 +15,11 @@
 //! paths at small sizes, where run-time-stage overhead is comparable to
 //! compute. `--json` emits one combined document with the per-size numbers
 //! and the plan-cache counters.
+//!
+//! `crossover` measures the serial→parallel crossover: f64 GEMM NN and TRSM
+//! LNLN, serial vs threaded execute over groups whose footprint sweeps
+//! 1/16× to 4× the per-core L2, next to the plan's own `use_parallel()`
+//! pick.
 //!
 //! `obs` exercises every routine/precision once and prints the telemetry
 //! document: plan explainers (always live) plus the runtime counters,
@@ -208,6 +213,7 @@ fn main() {
         "ext-trmm" => ext_trmm(&opts),
         "ablation-schedule" => ablation_schedule(),
         "callamort" => callamort(&opts),
+        "crossover" => crossover(&opts),
         "obs" => obs_telemetry(&opts),
         "tune" => tune_bench(&opts),
         "trace" => trace_bench(&opts),
@@ -1148,13 +1154,11 @@ fn callamort(opts: &Opts) {
     let stats = cache::stats();
 
     // Executor-throughput trajectory for the BENCH artifact: serial vs
-    // parallel GFLOPS on a batch big enough to span many superblocks.
-    // (With the vendored sequential rayon the two coincide; on a real
-    // rayon the parallel series shows the superblock-partitioned scaling.)
+    // parallel GFLOPS on a batch big enough to span many superblocks, the
+    // parallel series on every core the executor uses.
     let tp_sizes = [8usize, 16, 32];
     let tp_count = opts.batch_base.clamp(256, 4096);
     let mut serial_gflops = Vec::new();
-    #[cfg_attr(not(feature = "parallel"), allow(unused_mut))]
     let mut parallel_gflops: Vec<f64> = Vec::new();
     for &n in &tp_sizes {
         let w = gemm_workload::<f64>(n, GemmMode::NN, tp_count, 7);
@@ -1173,14 +1177,12 @@ fn callamort(opts: &Opts) {
             plan.execute(1.0, &w.a_c, &w.b_c, 0.0, &mut c).unwrap();
         });
         serial_gflops.push(flops / t / 1e9);
-        #[cfg(feature = "parallel")]
-        {
-            let mut c = w.c_c.clone();
-            let t = iatf_bench::timer::time_secs(&opts.time, || {
-                plan.execute_parallel(1.0, &w.a_c, &w.b_c, 0.0, &mut c).unwrap();
-            });
-            parallel_gflops.push(flops / t / 1e9);
-        }
+        let mut c = w.c_c.clone();
+        let t = iatf_bench::timer::time_secs(&opts.time, || {
+            plan.execute_parallel(1.0, &w.a_c, &w.b_c, 0.0, &mut c)
+                .unwrap();
+        });
+        parallel_gflops.push(flops / t / 1e9);
     }
 
     if opts.json {
@@ -1212,7 +1214,7 @@ fn callamort(opts: &Opts) {
                     )
                     .set("serial_gflops", ns_list(&serial_gflops))
                     .set("parallel_gflops", ns_list(&parallel_gflops))
-                    .set("parallel_feature", cfg!(feature = "parallel")),
+                    .set("threads", iatf_core::exec::threads()),
             )
             .set(
                 "plan_cache",
@@ -1259,13 +1261,96 @@ fn callamort(opts: &Opts) {
         stats.hits, stats.misses, stats.evictions, stats.bypasses, stats.entries
     );
     println!();
-    println!("## Executor throughput (f64 GEMM NN, batch {tp_count})");
+    println!(
+        "## Executor throughput (f64 GEMM NN, batch {tp_count}, {} threads)",
+        iatf_core::exec::threads()
+    );
     for (i, &n) in tp_sizes.iter().enumerate() {
-        let par = parallel_gflops
-            .get(i).map_or_else(|| format!("{:>10}", "(off)"), |g| format!("{g:>10.2}"));
-        println!("{n:>4} serial {:>10.2} GFLOPS   parallel {par} GFLOPS", serial_gflops[i]);
+        println!(
+            "{n:>4} serial {:>10.2} GFLOPS   parallel {:>10.2} GFLOPS",
+            serial_gflops[i], parallel_gflops[i]
+        );
     }
     println!();
+}
+
+/// Serial vs threaded execute across the crossover rule's boundary: f64
+/// GEMM NN and TRSM LNLN (identity triangle, so repeated in-place solves
+/// stay a fixed point) at n ∈ {4, 8, 16}, with the group count chosen so
+/// the operands' total size is 1/16× to 4× the per-core L2.
+fn crossover(opts: &Opts) {
+    use iatf_core::{exec, host_profile, GemmPlan, TrsmPlan};
+    use iatf_layout::{CompactBatch, GemmDims, StdBatch, TrsmDims};
+
+    let cfg = TuningConfig::default();
+    let l2 = host_profile().l2_bytes;
+    let fractions = [0.0625, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0];
+    println!(
+        "## Serial→parallel crossover ({} threads, L2 {} KiB)",
+        exec::threads(),
+        l2 / 1024
+    );
+    println!(
+        "{:<5} {:>3} {:>7} {:>8} {:>9} {:>11} {:>11} {:>8}",
+        "op", "n", "count", "size/L2", "parallel", "serial us", "threads us", "speedup"
+    );
+    for op in ["gemm", "trsm"] {
+        for n in [4usize, 8, 16] {
+            let operands = if op == "gemm" { 3 } else { 2 };
+            for frac in fractions {
+                let per_matrix = operands * n * n * core::mem::size_of::<f64>();
+                let count = (frac * l2 as f64 / per_matrix as f64).ceil() as usize;
+                let (picked, serial, threaded) = if op == "gemm" {
+                    let w = gemm_workload::<f64>(n, GemmMode::NN, count, 7);
+                    let plan = GemmPlan::<f64>::new(
+                        GemmDims::square(n),
+                        GemmMode::NN,
+                        false,
+                        false,
+                        count,
+                        &cfg,
+                    )
+                    .unwrap();
+                    let mut c = w.c_c.clone();
+                    let s = iatf_bench::timer::time_secs(&opts.time, || {
+                        plan.execute(1.0, &w.a_c, &w.b_c, 0.0, &mut c).unwrap();
+                    });
+                    let p = iatf_bench::timer::time_secs(&opts.time, || {
+                        plan.execute_parallel(1.0, &w.a_c, &w.b_c, 0.0, &mut c)
+                            .unwrap();
+                    });
+                    (plan.use_parallel(), s, p)
+                } else {
+                    let identity = |_, i, j| if i == j { 1.0 } else { 0.0 };
+                    let mut a =
+                        CompactBatch::from_std(&StdBatch::<f64>::from_fn(n, n, count, identity));
+                    a.pad_triangle_identity();
+                    let mut b = CompactBatch::from_std(&StdBatch::<f64>::random(n, n, count, 7));
+                    let plan = TrsmPlan::<f64>::new(
+                        TrsmDims::new(n, n),
+                        TrsmMode::LNLN,
+                        false,
+                        count,
+                        &cfg,
+                    )
+                    .unwrap();
+                    let s = iatf_bench::timer::time_secs(&opts.time, || {
+                        plan.execute(1.0, &a, &mut b).unwrap();
+                    });
+                    let p = iatf_bench::timer::time_secs(&opts.time, || {
+                        plan.execute_parallel(1.0, &a, &mut b).unwrap();
+                    });
+                    (plan.use_parallel(), s, p)
+                };
+                println!(
+                    "{op:<5} {n:>3} {count:>7} {frac:>8} {picked:>9} {:>11.1} {:>11.1} {:>7.2}x",
+                    serial * 1e6,
+                    threaded * 1e6,
+                    serial / threaded
+                );
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -2029,7 +2114,7 @@ fn record_baseline(path: &str, target: &str) {
     }
 }
 
-/// Measures serial (and, when built, parallel) f64 GEMM NN GFLOPS the same
+/// Measures serial and parallel f64 GEMM NN GFLOPS the same
 /// way `callamort` records them into `BENCH_3.json`: interleaved
 /// min-of-rounds, noise = spread of the per-round times.
 fn sentinel_throughput(base: &iatf_obs::Json, checks: &mut Vec<SentinelCheck>) {
@@ -2060,9 +2145,9 @@ fn sentinel_throughput(base: &iatf_obs::Json, checks: &mut Vec<SentinelCheck>) {
         eprintln!("   warning: BENCH_3.json throughput section is incomplete — skipping");
         return;
     }
-    let gate_parallel = parallel_base.len() == sizes.len() && cfg!(feature = "parallel");
-    if parallel_base.len() == sizes.len() && !gate_parallel {
-        eprintln!("   note: baseline has parallel numbers but this build lacks --features parallel — serial gate only");
+    let gate_parallel = parallel_base.len() == sizes.len();
+    if !gate_parallel {
+        eprintln!("   warning: BENCH_3.json has no parallel numbers — serial gate only");
     }
 
     let round = TimeOpts {
@@ -2092,24 +2177,24 @@ fn sentinel_throughput(base: &iatf_obs::Json, checks: &mut Vec<SentinelCheck>) {
             current: flops / t_min / 1e9,
             noise: 1.0 - t_min / t_max,
         });
-        #[cfg(feature = "parallel")]
-        if gate_parallel {
-            let mut c = w.c_c.clone();
-            let (mut t_min, mut t_max) = (f64::INFINITY, 0.0f64);
-            for _ in 0..ROUNDS {
-                let t = iatf_bench::timer::time_secs(&round, || {
-                    plan.execute_parallel(1.0, &w.a_c, &w.b_c, 0.0, &mut c).unwrap();
-                });
-                t_min = t_min.min(t);
-                t_max = t_max.max(t);
-            }
-            checks.push(SentinelCheck {
-                name: format!("gemm f64 n={n} parallel GFLOPS"),
-                baseline: parallel_base[i],
-                current: flops / t_min / 1e9,
-                noise: 1.0 - t_min / t_max,
-            });
+        if !gate_parallel {
+            continue;
         }
+        let mut c = w.c_c.clone();
+        let (mut t_min, mut t_max) = (f64::INFINITY, 0.0f64);
+        for _ in 0..ROUNDS {
+            let t = iatf_bench::timer::time_secs(&round, || {
+                plan.execute_parallel(1.0, &w.a_c, &w.b_c, 0.0, &mut c).unwrap();
+            });
+            t_min = t_min.min(t);
+            t_max = t_max.max(t);
+        }
+        checks.push(SentinelCheck {
+            name: format!("gemm f64 n={n} parallel GFLOPS"),
+            baseline: parallel_base[i],
+            current: flops / t_min / 1e9,
+            noise: 1.0 - t_min / t_max,
+        });
     }
 }
 

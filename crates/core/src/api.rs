@@ -15,10 +15,9 @@ use crate::elem::CompactElement;
 use crate::plan::{cache, GemmPlan, TrmmPlan, TrsmPlan};
 use iatf_layout::{CompactBatch, GemmDims, GemmMode, LayoutError, StdBatch, Trans, TrsmDims, TrsmMode};
 
-/// Runs a GEMM plan with the tuned serial/parallel crossover: plans whose
-/// tuned entry measured parallel execution faster dispatch to the rayon
-/// executor (when the `parallel` feature is on), everything else takes
-/// the serial path. Both paths produce bit-identical results.
+/// Runs a GEMM plan on the path its serial/parallel crossover picked at
+/// build ([`GemmPlan::use_parallel`]). Both paths produce bit-identical
+/// results.
 fn run_gemm<E: CompactElement>(
     plan: &GemmPlan<E>,
     alpha: E,
@@ -27,7 +26,6 @@ fn run_gemm<E: CompactElement>(
     beta: E,
     c: &mut CompactBatch<E>,
 ) -> Result<(), LayoutError> {
-    #[cfg(feature = "parallel")]
     if plan.use_parallel() {
         return plan.execute_parallel(alpha, a, b, beta, c);
     }
@@ -41,7 +39,6 @@ fn run_trsm<E: CompactElement>(
     a: &CompactBatch<E>,
     b: &mut CompactBatch<E>,
 ) -> Result<(), LayoutError> {
-    #[cfg(feature = "parallel")]
     if plan.use_parallel() {
         return plan.execute_parallel(alpha, a, b);
     }
@@ -55,7 +52,6 @@ fn run_trmm<E: CompactElement>(
     a: &CompactBatch<E>,
     b: &mut CompactBatch<E>,
 ) -> Result<(), LayoutError> {
-    #[cfg(feature = "parallel")]
     if plan.use_parallel() {
         return plan.execute_parallel(alpha, a, b);
     }

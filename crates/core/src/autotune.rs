@@ -549,9 +549,8 @@ fn sweep_gemm<E: CompactElement>(
         sweep(Duration::from_millis(budget_ms.max(1)), &mut runners)
     };
     let winner = &cands[report.winner];
-    #[cfg(not(feature = "parallel"))]
-    let parallel = false;
-    #[cfg(feature = "parallel")]
+    // Serial→parallel crossover: race the winner on one thread against the
+    // same plan on every core.
     let parallel = {
         let mut runners: Vec<Box<dyn FnMut() + '_>> = vec![
             Box::new(|| {
@@ -692,9 +691,7 @@ macro_rules! triangular_tuner {
                 sweep(Duration::from_millis(budget_ms.max(1)), &mut runners)
             };
             let winner = &cands[report.winner];
-            #[cfg(not(feature = "parallel"))]
-            let parallel = false;
-            #[cfg(feature = "parallel")]
+            // Serial→parallel crossover, as in `sweep_gemm`.
             let parallel = {
                 let mut runners: Vec<Box<dyn FnMut() + '_>> = vec![
                     Box::new(|| {

@@ -39,6 +39,7 @@ pub mod api;
 pub mod autotune;
 pub mod config;
 pub mod elem;
+pub mod exec;
 pub mod machine;
 pub mod plan;
 pub(crate) mod sync;

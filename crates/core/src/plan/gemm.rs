@@ -3,13 +3,14 @@
 use crate::autotune;
 use crate::config::{PackPolicy, TuningConfig};
 use crate::elem::CompactElement;
+use crate::exec;
 use crate::plan::{explain as ex, group_packs, tiles, Command};
 use iatf_layout::{CompactBatch, GemmDims, GemmMode, LayoutError};
 use iatf_simd::VecWidth;
 use iatf_obs as obs;
 use iatf_pack::gemm as pk;
 use iatf_trace as trace;
-use iatf_pack::{arena, PackBuffer};
+use iatf_pack::PackBuffer;
 use std::sync::OnceLock;
 
 /// How one GEMM operand is accessed (Pack Selecter output).
@@ -126,7 +127,10 @@ impl<E: CompactElement> GemmPlan<E> {
             m_tiles,
             n_tiles,
             tile_kernels,
-            use_parallel: tuned.is_some_and(|t| t.parallel),
+            use_parallel: tuned.map_or_else(
+                || exec::prefers_parallel(packs * bytes_per_pack, packs.div_ceil(gp)),
+                |t| t.parallel,
+            ),
             a_panel_len,
             b_panel_len,
             commands: OnceLock::new(),
@@ -154,9 +158,11 @@ impl<E: CompactElement> GemmPlan<E> {
         self.width
     }
 
-    /// Whether the tuned serial→parallel crossover picked parallel
-    /// execution for this input (always `false` under pure heuristics).
-    /// The one-shot API dispatches on this; plan holders may too.
+    /// Whether this input runs on every core: a tuned entry's measured
+    /// serial-vs-threads race decides when one applies, otherwise the
+    /// crossover rule (group footprint at least the per-core L2, at least
+    /// two super-blocks per [`exec::threads`] thread). The one-shot API
+    /// dispatches on this; plan holders may too.
     pub fn use_parallel(&self) -> bool {
         self.use_parallel
     }
@@ -179,7 +185,7 @@ impl<E: CompactElement> GemmPlan<E> {
 
     /// Executes the plan: `C = α·op(A)·op(B) + β·C`.
     ///
-    /// Scratch comes from the thread-local [`arena`], so repeated executes
+    /// Scratch comes from the thread-local arena, so repeated executes
     /// are allocation-free after the first call on a thread.
     pub fn execute(
         &self,
@@ -189,16 +195,48 @@ impl<E: CompactElement> GemmPlan<E> {
         beta: E,
         c: &mut CompactBatch<E>,
     ) -> Result<(), LayoutError> {
+        self.run(false, alpha, a, b, beta, c)
+    }
+
+    /// Multi-threaded execution: the same super-blocks as [`Self::execute`],
+    /// spread over every core by the [`exec`] executor. Each thread runs the
+    /// same `run_superblock` body over its own disjoint C chunks with its
+    /// own arena scratch, so the result is bit-identical to
+    /// [`Self::execute`].
+    pub fn execute_parallel(
+        &self,
+        alpha: E,
+        a: &CompactBatch<E>,
+        b: &CompactBatch<E>,
+        beta: E,
+        c: &mut CompactBatch<E>,
+    ) -> Result<(), LayoutError> {
+        self.run(true, alpha, a, b, beta, c)
+    }
+
+    fn run(
+        &self,
+        parallel: bool,
+        alpha: E,
+        a: &CompactBatch<E>,
+        b: &CompactBatch<E>,
+        beta: E,
+        c: &mut CompactBatch<E>,
+    ) -> Result<(), LayoutError> {
         self.validate(a, b, c)?;
         obs::count_execute(obs::Op::Gemm);
         let _trace = trace::span_arg(trace::SpanKind::Execute, self.packs as u64);
-        let mut lease = arena::lease::<E::Real>();
         let gp = self.group_packs;
         let ps = c.pack_stride();
-        for (sb_idx, c_chunk) in c.as_scalars_mut().chunks_mut(ps * gp).enumerate() {
-            let sb_packs = c_chunk.len() / ps;
-            self.run_superblock(alpha, a, b, beta, c_chunk, ps, sb_idx * gp, sb_packs, lease.buffer());
-        }
+        exec::for_each_superblock(
+            c.as_scalars_mut(),
+            ps * gp,
+            parallel,
+            |sb_idx, c_chunk, buf| {
+                let sb_packs = c_chunk.len() / ps;
+                self.run_superblock(alpha, a, b, beta, c_chunk, ps, sb_idx * gp, sb_packs, buf);
+            },
+        );
         Ok(())
     }
 
@@ -338,8 +376,8 @@ impl<E: CompactElement> GemmPlan<E> {
 
     /// Packs then computes one super-block of packs. `c_chunk` is the
     /// contiguous scalar storage of packs `sb..sb + sb_packs` (pack stride
-    /// `ps`) — the same code path serves the serial loop and the parallel
-    /// executor's per-task chunks, so both produce bit-identical results.
+    /// `ps`) — the same code path serves the serial loop and every parallel
+    /// worker, so both produce bit-identical results.
     #[allow(clippy::too_many_arguments)]
     fn run_superblock(
         &self,
@@ -384,50 +422,6 @@ impl<E: CompactElement> GemmPlan<E> {
                 cp,
             );
         }
-    }
-
-    /// Multi-threaded execution: *super-blocks* are distributed across the
-    /// rayon pool (the paper's "extend our approach to multicore CPU"
-    /// future-work item). Partitioning at super-block granularity preserves
-    /// the Batch Counter's L1 sizing per worker — each task packs and
-    /// computes exactly the working set the serial schedule would keep live
-    /// — and each worker leases its own scratch from the thread-local
-    /// [`arena`]. Tasks run the same [`Self::run_superblock`] body over the
-    /// same disjoint C chunks as the serial loop, so the result is
-    /// bit-identical to [`Self::execute`].
-    #[cfg(feature = "parallel")]
-    pub fn execute_parallel(
-        &self,
-        alpha: E,
-        a: &CompactBatch<E>,
-        b: &CompactBatch<E>,
-        beta: E,
-        c: &mut CompactBatch<E>,
-    ) -> Result<(), LayoutError> {
-        use rayon::prelude::*;
-        self.validate(a, b, c)?;
-        obs::count_execute(obs::Op::Gemm);
-        let _trace = trace::span_arg(trace::SpanKind::Execute, self.packs as u64);
-        let gp = self.group_packs;
-        let ps = c.pack_stride();
-        c.as_scalars_mut()
-            .par_chunks_mut(ps * gp)
-            .enumerate()
-            .for_each_init(arena::lease::<E::Real>, |lease, (sb_idx, c_chunk)| {
-                let sb_packs = c_chunk.len() / ps;
-                self.run_superblock(
-                    alpha,
-                    a,
-                    b,
-                    beta,
-                    c_chunk,
-                    ps,
-                    sb_idx * gp,
-                    sb_packs,
-                    lease.buffer(),
-                );
-            });
-        Ok(())
     }
 
     /// The plan rendered as the paper's command-queue view. Rendered once

@@ -11,13 +11,14 @@
 use crate::autotune;
 use crate::config::{PackPolicy, TuningConfig};
 use crate::elem::CompactElement;
+use crate::exec;
 use crate::plan::{explain as ex, group_packs, tiles};
 use iatf_layout::{CompactBatch, LayoutError, TrsmDims, TrsmMode};
 use iatf_simd::VecWidth;
 use iatf_obs as obs;
 use iatf_pack::trsm as pk;
 use iatf_trace as trace;
-use iatf_pack::{arena, PackBuffer};
+use iatf_pack::PackBuffer;
 
 /// A reusable execution plan for compact batched TRMM.
 #[derive(Clone, Debug)]
@@ -112,7 +113,10 @@ impl<E: CompactElement> TrmmPlan<E> {
             a_len,
             panels,
             block_kernels,
-            use_parallel: tuned.is_some_and(|t| t.parallel),
+            use_parallel: tuned.map_or_else(
+                || exec::prefers_parallel(packs * bytes_per_pack, packs.div_ceil(gp)),
+                |t| t.parallel,
+            ),
             _marker: core::marker::PhantomData,
         })
     }
@@ -137,8 +141,8 @@ impl<E: CompactElement> TrmmPlan<E> {
         self.width
     }
 
-    /// Whether the tuned serial→parallel crossover picked parallel
-    /// execution for this input (always `false` under pure heuristics).
+    /// Whether this input runs on every core; see
+    /// [`GemmPlan::use_parallel`](crate::plan::GemmPlan::use_parallel).
     pub fn use_parallel(&self) -> bool {
         self.use_parallel
     }
@@ -193,10 +197,31 @@ impl<E: CompactElement> TrmmPlan<E> {
     /// Executes the plan: B is overwritten with `α·op(A)·B` (left) or
     /// `α·B·op(A)` (right).
     ///
-    /// Scratch comes from the thread-local [`arena`], so repeated executes
+    /// Scratch comes from the thread-local arena, so repeated executes
     /// are allocation-free after the first call on a thread.
     pub fn execute(
         &self,
+        alpha: E,
+        a: &CompactBatch<E>,
+        b: &mut CompactBatch<E>,
+    ) -> Result<(), LayoutError> {
+        self.run(false, alpha, a, b)
+    }
+
+    /// Multi-threaded twin of [`Self::execute`]; see
+    /// [`GemmPlan::execute_parallel`](crate::plan::GemmPlan::execute_parallel).
+    pub fn execute_parallel(
+        &self,
+        alpha: E,
+        a: &CompactBatch<E>,
+        b: &mut CompactBatch<E>,
+    ) -> Result<(), LayoutError> {
+        self.run(true, alpha, a, b)
+    }
+
+    fn run(
+        &self,
+        parallel: bool,
         alpha: E,
         a: &CompactBatch<E>,
         b: &mut CompactBatch<E>,
@@ -205,30 +230,34 @@ impl<E: CompactElement> TrmmPlan<E> {
         obs::count_execute(obs::Op::Trmm);
         let _trace = trace::span_arg(trace::SpanKind::Execute, self.packs as u64);
         let panel_cap = self.panel_cap();
-        let mut lease = arena::lease::<E::Real>();
+        let gp = self.group_packs;
         let b_rows = b.rows();
         let bps = b.pack_stride();
-        let gp = self.group_packs;
-        for (sb_idx, b_chunk) in b.as_scalars_mut().chunks_mut(bps * gp).enumerate() {
-            let sb_packs = b_chunk.len() / bps;
-            self.run_superblock(
-                alpha,
-                panel_cap,
-                a,
-                b_chunk,
-                bps,
-                b_rows,
-                sb_idx * gp,
-                sb_packs,
-                lease.buffer(),
-            );
-        }
+        exec::for_each_superblock(
+            b.as_scalars_mut(),
+            bps * gp,
+            parallel,
+            |sb_idx, b_chunk, buf| {
+                let sb_packs = b_chunk.len() / bps;
+                self.run_superblock(
+                    alpha,
+                    panel_cap,
+                    a,
+                    b_chunk,
+                    bps,
+                    b_rows,
+                    sb_idx * gp,
+                    sb_packs,
+                    buf,
+                );
+            },
+        );
         Ok(())
     }
 
     /// Packs then multiplies one super-block of packs. `b_chunk` is the
     /// contiguous scalar storage of packs `sb..sb + sb_packs` (pack stride
-    /// `bps`) — shared by the serial loop and the parallel executor, so
+    /// `bps`) — shared by the serial loop and every parallel worker, so
     /// both produce bit-identical results.
     #[allow(clippy::too_many_arguments)]
     fn run_superblock(
@@ -353,47 +382,6 @@ impl<E: CompactElement> TrmmPlan<E> {
                 );
             }
         }
-    }
-
-    /// Multi-threaded execution: *super-blocks* are distributed across the
-    /// rayon pool, preserving the Batch Counter's L1 sizing per worker,
-    /// with per-worker scratch leased from the thread-local [`arena`].
-    /// Tasks run the same [`Self::run_superblock`] body over the same
-    /// disjoint B chunks as the serial loop, so the result is bit-identical
-    /// to [`Self::execute`].
-    #[cfg(feature = "parallel")]
-    pub fn execute_parallel(
-        &self,
-        alpha: E,
-        a: &CompactBatch<E>,
-        b: &mut CompactBatch<E>,
-    ) -> Result<(), LayoutError> {
-        use rayon::prelude::*;
-        self.validate(a, b)?;
-        obs::count_execute(obs::Op::Trmm);
-        let _trace = trace::span_arg(trace::SpanKind::Execute, self.packs as u64);
-        let panel_cap = self.panel_cap();
-        let gp = self.group_packs;
-        let b_rows = b.rows();
-        let bps = b.pack_stride();
-        b.as_scalars_mut()
-            .par_chunks_mut(bps * gp)
-            .enumerate()
-            .for_each_init(arena::lease::<E::Real>, |lease, (sb_idx, b_chunk)| {
-                let sb_packs = b_chunk.len() / bps;
-                self.run_superblock(
-                    alpha,
-                    panel_cap,
-                    a,
-                    b_chunk,
-                    bps,
-                    b_rows,
-                    sb_idx * gp,
-                    sb_packs,
-                    lease.buffer(),
-                );
-            });
-        Ok(())
     }
 
     /// Structured description of what one `execute()` will do. `k` is 0

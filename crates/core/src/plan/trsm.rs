@@ -3,13 +3,14 @@
 use crate::autotune;
 use crate::config::{PackPolicy, TuningConfig};
 use crate::elem::CompactElement;
+use crate::exec;
 use crate::plan::{explain as ex, group_packs, tiles, Command};
 use iatf_layout::{CompactBatch, LayoutError, TrsmDims, TrsmMode};
 use iatf_simd::VecWidth;
 use iatf_obs as obs;
 use iatf_pack::trsm as pk;
 use iatf_trace as trace;
-use iatf_pack::{arena, PackBuffer};
+use iatf_pack::PackBuffer;
 use std::sync::OnceLock;
 
 /// A reusable execution plan for compact batched TRSM:
@@ -113,7 +114,10 @@ impl<E: CompactElement> TrsmPlan<E> {
             a_len,
             panels,
             block_kernels,
-            use_parallel: tuned.is_some_and(|t| t.parallel),
+            use_parallel: tuned.map_or_else(
+                || exec::prefers_parallel(packs * bytes_per_pack, packs.div_ceil(gp)),
+                |t| t.parallel,
+            ),
             commands: OnceLock::new(),
             _marker: core::marker::PhantomData,
         })
@@ -144,8 +148,8 @@ impl<E: CompactElement> TrsmPlan<E> {
         self.width
     }
 
-    /// Whether the tuned serial→parallel crossover picked parallel
-    /// execution for this input (always `false` under pure heuristics).
+    /// Whether this input runs on every core; see
+    /// [`GemmPlan::use_parallel`](crate::plan::GemmPlan::use_parallel).
     pub fn use_parallel(&self) -> bool {
         self.use_parallel
     }
@@ -194,10 +198,31 @@ impl<E: CompactElement> TrsmPlan<E> {
 
     /// Executes the plan; B is overwritten with the solution X.
     ///
-    /// Scratch comes from the thread-local [`arena`], so repeated executes
+    /// Scratch comes from the thread-local arena, so repeated executes
     /// are allocation-free after the first call on a thread.
     pub fn execute(
         &self,
+        alpha: E,
+        a: &CompactBatch<E>,
+        b: &mut CompactBatch<E>,
+    ) -> Result<(), LayoutError> {
+        self.run(false, alpha, a, b)
+    }
+
+    /// Multi-threaded twin of [`Self::execute`]; see
+    /// [`GemmPlan::execute_parallel`](crate::plan::GemmPlan::execute_parallel).
+    pub fn execute_parallel(
+        &self,
+        alpha: E,
+        a: &CompactBatch<E>,
+        b: &mut CompactBatch<E>,
+    ) -> Result<(), LayoutError> {
+        self.run(true, alpha, a, b)
+    }
+
+    fn run(
+        &self,
+        parallel: bool,
         alpha: E,
         a: &CompactBatch<E>,
         b: &mut CompactBatch<E>,
@@ -208,31 +233,35 @@ impl<E: CompactElement> TrsmPlan<E> {
         // α ≠ 1 must be folded in during a copy, so it forces panel packing.
         let pack_b = self.pack_b_structural || alpha != E::one();
         let panel_cap = self.panel_cap(pack_b);
-        let mut lease = arena::lease::<E::Real>();
         let gp = self.group_packs;
         let b_rows = b.rows();
         let bps = b.pack_stride();
-        for (sb_idx, b_chunk) in b.as_scalars_mut().chunks_mut(bps * gp).enumerate() {
-            let sb_packs = b_chunk.len() / bps;
-            self.run_superblock(
-                alpha,
-                pack_b,
-                panel_cap,
-                a,
-                b_chunk,
-                bps,
-                b_rows,
-                sb_idx * gp,
-                sb_packs,
-                lease.buffer(),
-            );
-        }
+        exec::for_each_superblock(
+            b.as_scalars_mut(),
+            bps * gp,
+            parallel,
+            |sb_idx, b_chunk, buf| {
+                let sb_packs = b_chunk.len() / bps;
+                self.run_superblock(
+                    alpha,
+                    pack_b,
+                    panel_cap,
+                    a,
+                    b_chunk,
+                    bps,
+                    b_rows,
+                    sb_idx * gp,
+                    sb_packs,
+                    buf,
+                );
+            },
+        );
         Ok(())
     }
 
     /// Packs then solves one super-block of packs. `b_chunk` is the
     /// contiguous scalar storage of packs `sb..sb + sb_packs` (pack stride
-    /// `bps`) — shared by the serial loop and the parallel executor, so
+    /// `bps`) — shared by the serial loop and every parallel worker, so
     /// both produce bit-identical results.
     #[allow(clippy::too_many_arguments)]
     fn run_superblock(
@@ -369,51 +398,6 @@ impl<E: CompactElement> TrsmPlan<E> {
                 );
             }
         }
-    }
-
-    /// Multi-threaded execution: *super-blocks* are distributed across the
-    /// rayon pool (the paper's multicore future-work extension; parallelism
-    /// is between packs, never within a solve). Partitioning at super-block
-    /// granularity preserves the Batch Counter's L1 sizing per worker, and
-    /// each worker leases its own scratch from the thread-local [`arena`].
-    /// Tasks run the same [`Self::run_superblock`] body over the same
-    /// disjoint B chunks as the serial loop, so the result is bit-identical
-    /// to [`Self::execute`].
-    #[cfg(feature = "parallel")]
-    pub fn execute_parallel(
-        &self,
-        alpha: E,
-        a: &CompactBatch<E>,
-        b: &mut CompactBatch<E>,
-    ) -> Result<(), LayoutError> {
-        use rayon::prelude::*;
-        self.validate(a, b)?;
-        obs::count_execute(obs::Op::Trsm);
-        let _trace = trace::span_arg(trace::SpanKind::Execute, self.packs as u64);
-        let pack_b = self.pack_b_structural || alpha != E::one();
-        let panel_cap = self.panel_cap(pack_b);
-        let gp = self.group_packs;
-        let b_rows = b.rows();
-        let bps = b.pack_stride();
-        b.as_scalars_mut()
-            .par_chunks_mut(bps * gp)
-            .enumerate()
-            .for_each_init(arena::lease::<E::Real>, |lease, (sb_idx, b_chunk)| {
-                let sb_packs = b_chunk.len() / bps;
-                self.run_superblock(
-                    alpha,
-                    pack_b,
-                    panel_cap,
-                    a,
-                    b_chunk,
-                    bps,
-                    b_rows,
-                    sb_idx * gp,
-                    sb_packs,
-                    lease.buffer(),
-                );
-            });
-        Ok(())
     }
 
     /// The plan rendered as the paper's command-queue view (assuming packed

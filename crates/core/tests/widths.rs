@@ -214,10 +214,14 @@ fn db_entry_from_one_width_never_serves_another() {
     db.clear();
 }
 
-#[cfg(feature = "parallel")]
 #[test]
 fn parallel_matches_serial_bitwise_at_every_width() {
     for &width in available_widths() {
+        // One pack per super-block: a real split over several threads.
+        let cfg = TuningConfig {
+            batch: iatf_core::BatchPolicy::Fixed(1),
+            ..cfg_at(width)
+        };
         let (m, n, k, count) = (9usize, 7usize, 5usize, 33usize);
         let a = CompactBatch::from_std_at(&StdBatch::<f32>::random(m, k, count, 3), width);
         let b = CompactBatch::from_std_at(&StdBatch::<f32>::random(k, n, count, 4), width);
@@ -227,7 +231,7 @@ fn parallel_matches_serial_bitwise_at_every_width() {
             false,
             false,
             count,
-            &cfg_at(width),
+            &cfg,
         )
         .unwrap();
         let mut c_seq = CompactBatch::<f32>::zeroed_at(m, n, count, width);

@@ -34,8 +34,8 @@ pub use metrics::{
     count_arena_bytes_grown, count_arena_lease, count_dispatch, count_execute, count_fallback,
     count_packed_bytes_a, count_packed_bytes_b, count_plan_build, count_plan_cache,
     count_plan_commands, count_pmu, count_superblock, count_tune, dispatch_count, is_enabled,
-    pmu_count, reset, snapshot, tune_count, CacheEvent, DispatchCount, MetricsSnapshot, Op,
-    PhaseSnapshot, PmuEvent, ThreadPhaseSnapshot, TuneEvent,
+    pmu_count, registered_phase_slots, reset, snapshot, tune_count, CacheEvent, DispatchCount,
+    MetricsSnapshot, Op, PhaseSnapshot, PmuEvent, ThreadPhaseSnapshot, TuneEvent,
 };
 pub use timer::{phase, Phase, PhaseGuard};
 

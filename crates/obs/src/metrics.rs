@@ -4,7 +4,8 @@
 //! empty body unless the `enabled` cargo feature is on, so instrumented
 //! call sites in the planner/executor hot paths cost nothing by default.
 //! With the feature on, counters are relaxed atomics — safe under the
-//! `parallel` execution path, imprecise only in ordering, never in totals.
+//! parallel executor's worker threads, imprecise only in ordering, never
+//! in totals.
 
 use crate::json::Json;
 use crate::timer::Phase;
@@ -14,7 +15,7 @@ use crate::timer::PHASES;
 #[cfg(feature = "enabled")]
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 #[cfg(feature = "enabled")]
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Which BLAS-3 routine a probe refers to.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -105,7 +106,7 @@ struct Registry {
     phase_hist: Vec<Histogram>,
 }
 
-/// Per-thread phase accumulators. Worker threads in the parallel executors
+/// Per-thread phase accumulators. Worker threads in the parallel executor
 /// each own one slot, so phase time is attributed to the thread that spent
 /// it — a single global accumulator would report per-phase sums that
 /// exceed wall time with no way to tell how the work was distributed.
@@ -117,25 +118,80 @@ struct ThreadPhaseSlot {
     phase_calls: [AtomicU64; PHASES.len()],
 }
 
+/// Thread id of the slot that holds the folded totals of exited threads.
 #[cfg(feature = "enabled")]
-fn phase_slots() -> &'static Mutex<Vec<Arc<ThreadPhaseSlot>>> {
+const RETIRED_TID: u64 = 0;
+
+#[cfg(feature = "enabled")]
+impl ThreadPhaseSlot {
+    fn new(tid: u64) -> Self {
+        Self {
+            tid,
+            phase_ns: Default::default(),
+            phase_calls: Default::default(),
+        }
+    }
+
+    fn add(&self, phase: Phase, ns: u64, calls: u64) {
+        // ordering: Relaxed — monotonic accumulators; totals are read at quiescence.
+        self.phase_ns[phase as usize].fetch_add(ns, Relaxed);
+        self.phase_calls[phase as usize].fetch_add(calls, Relaxed);
+    }
+}
+
+/// Every live thread's slot, with the retired slot (exited threads'
+/// totals) first, locked. A thread's slot is folded into the retired one
+/// when the thread exits, so the list stays as long as the live thread
+/// count even when the executor spawns workers on every call.
+#[cfg(feature = "enabled")]
+fn lock_slots() -> MutexGuard<'static, Vec<Arc<ThreadPhaseSlot>>> {
     static SLOTS: OnceLock<Mutex<Vec<Arc<ThreadPhaseSlot>>>> = OnceLock::new();
-    SLOTS.get_or_init(|| Mutex::new(Vec::new()))
+    SLOTS
+        .get_or_init(|| Mutex::new(vec![Arc::new(ThreadPhaseSlot::new(RETIRED_TID))]))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The calling thread's registration; dropping it (at thread exit) moves
+/// the slot's totals into the retired slot under the registry lock, so a
+/// snapshot counts every span exactly once.
+#[cfg(feature = "enabled")]
+struct PhaseSlotHandle(Arc<ThreadPhaseSlot>);
+
+#[cfg(feature = "enabled")]
+impl Drop for PhaseSlotHandle {
+    fn drop(&mut self) {
+        let mut slots = lock_slots();
+        slots.retain(|s| !Arc::ptr_eq(s, &self.0));
+        for p in PHASES {
+            // ordering: Relaxed — the exiting thread reads its own writes back.
+            let ns = self.0.phase_ns[p as usize].load(Relaxed);
+            let calls = self.0.phase_calls[p as usize].load(Relaxed);
+            slots[0].add(p, ns, calls);
+        }
+    }
 }
 
 #[cfg(feature = "enabled")]
 thread_local! {
-    static PHASE_SLOT: Arc<ThreadPhaseSlot> = {
-        static NEXT_TID: AtomicU64 = AtomicU64::new(1);
-        let slot = Arc::new(ThreadPhaseSlot {
-            // ordering: Relaxed — thread-id allocator; uniqueness needs only atomicity.
-            tid: NEXT_TID.fetch_add(1, Relaxed),
-            phase_ns: Default::default(),
-            phase_calls: Default::default(),
-        });
-        phase_slots().lock().unwrap().push(Arc::clone(&slot));
-        slot
+    static PHASE_SLOT: PhaseSlotHandle = {
+        static NEXT_TID: AtomicU64 = AtomicU64::new(RETIRED_TID + 1);
+        // ordering: Relaxed — thread-id allocator; uniqueness needs only atomicity.
+        let slot = Arc::new(ThreadPhaseSlot::new(NEXT_TID.fetch_add(1, Relaxed)));
+        lock_slots().push(Arc::clone(&slot));
+        PhaseSlotHandle(slot)
     };
+}
+
+/// Phase slots currently registered: one per live thread that has
+/// recorded a span, plus the retired slot (0 with the feature off).
+pub fn registered_phase_slots() -> usize {
+    #[cfg(feature = "enabled")]
+    {
+        lock_slots().len()
+    }
+    #[cfg(not(feature = "enabled"))]
+    0
 }
 
 #[cfg(feature = "enabled")]
@@ -422,11 +478,11 @@ pub fn tune_count(event: TuneEvent) -> u64 {
 pub fn record_phase(phase: Phase, ns: u64) {
     #[cfg(feature = "enabled")]
     {
-        PHASE_SLOT.with(|s| {
-            // ordering: Relaxed — per-thread monotonic accumulators; totals are read at quiescence.
-            s.phase_ns[phase as usize].fetch_add(ns, Relaxed);
-            s.phase_calls[phase as usize].fetch_add(1, Relaxed);
-        });
+        // A span closed during thread teardown, after the slot retired,
+        // lands in the retired slot directly.
+        if PHASE_SLOT.try_with(|s| s.0.add(phase, ns, 1)).is_err() {
+            lock_slots()[0].add(phase, ns, 1);
+        }
         registry().phase_hist[phase as usize].record(ns);
     }
     #[cfg(not(feature = "enabled"))]
@@ -492,7 +548,7 @@ pub fn reset() {
             h.reset();
         }
         // ordering: Relaxed — continuing the quiesced-reset stores above.
-        for slot in phase_slots().lock().unwrap().iter() {
+        for slot in lock_slots().iter() {
             for c in &slot.phase_ns {
                 c.store(0, Relaxed);
             }
@@ -564,7 +620,8 @@ pub struct MetricsSnapshot {
 /// Phase timing recorded by one thread.
 #[derive(Clone, Debug)]
 pub struct ThreadPhaseSnapshot {
-    /// Recorder-assigned thread id (registration order, from 1).
+    /// Recorder-assigned thread id (registration order, from 1); 0 is the
+    /// folded totals of threads that have exited.
     pub tid: u64,
     /// Spans recorded by this thread, in `PHASES` order.
     pub calls: [u64; 6],
@@ -615,9 +672,7 @@ pub fn snapshot() -> MetricsSnapshot {
                 }
             }
         }
-        let mut threads: Vec<ThreadPhaseSnapshot> = phase_slots()
-            .lock()
-            .unwrap()
+        let mut threads: Vec<ThreadPhaseSnapshot> = lock_slots()
             .iter()
             .map(|s| ThreadPhaseSnapshot {
                 tid: s.tid,

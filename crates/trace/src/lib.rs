@@ -37,6 +37,8 @@ pub(crate) mod sync;
 
 pub use chrome::chrome_trace_json;
 pub use pmu::{PmuCounters, PmuSource, PmuUnavailable};
-pub use recorder::{drain, dropped, is_enabled, now_ns, reset, span, span_arg, SpanGuard};
+pub use recorder::{
+    drain, dropped, is_enabled, live_rings, now_ns, reset, span, span_arg, SpanGuard,
+};
 pub use ring::{SpanEvent, SpanKind, SPAN_KINDS};
 pub use roofline::{RooflineInput, RooflinePoint, RooflineReport};

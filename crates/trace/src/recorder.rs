@@ -3,8 +3,10 @@
 //! Every instrumented thread lazily registers one [`SpanRing`] in a global
 //! registry on its first span; [`span`] opens a timing span whose guard
 //! pushes a completed event into the *calling thread's* ring on drop
-//! (single producer per ring, wait-free, lossy when full). [`drain`]
-//! collects the surviving events of every ring, merged chronologically.
+//! (single producer per ring, wait-free, lossy when full). When a thread
+//! exits its ring retires: the undrained events move to a bounded buffer
+//! and the ring is freed. [`drain`] collects the surviving events of every
+//! ring and of that buffer, merged chronologically.
 //!
 //! With the `enabled` cargo feature off, [`span`] returns a zero-sized
 //! guard with no `Drop` impl and [`drain`] is a constant empty vector —
@@ -23,7 +25,9 @@ use crate::ring::SpanRing;
 #[cfg(feature = "enabled")]
 use crate::sync::{AtomicU64, Ordering::Relaxed};
 #[cfg(feature = "enabled")]
-use std::sync::{Arc, Mutex, OnceLock};
+use std::collections::VecDeque;
+#[cfg(feature = "enabled")]
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 #[cfg(feature = "enabled")]
 use std::time::Instant;
 
@@ -47,10 +51,33 @@ pub fn now_ns() -> u64 {
     0
 }
 
+/// Every live thread's ring, plus what exited threads left behind: their
+/// undrained events (bounded to one ring's capacity, oldest dropped first)
+/// and their loss counts. A thread's ring retires into this when the
+/// thread exits, so the registry stays as long as the live thread count
+/// even when the executor spawns workers on every call.
 #[cfg(feature = "enabled")]
-fn registry() -> &'static Mutex<Vec<Arc<SpanRing>>> {
-    static REGISTRY: OnceLock<Mutex<Vec<Arc<SpanRing>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
+struct Registry {
+    rings: Vec<Arc<SpanRing>>,
+    retired: VecDeque<SpanEvent>,
+    retired_dropped: u64,
+}
+
+/// The registry, locked. Draining and retiring both hold this lock, so a
+/// ring never has two consumers at once.
+#[cfg(feature = "enabled")]
+fn registry() -> MutexGuard<'static, Registry> {
+    static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
+    REGISTRY
+        .get_or_init(|| {
+            Mutex::new(Registry {
+                rings: Vec::new(),
+                retired: VecDeque::new(),
+                retired_dropped: 0,
+            })
+        })
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(feature = "enabled")]
@@ -59,9 +86,30 @@ fn ring_capacity() -> usize {
     *CAP.get_or_init(|| iatf_obs::env::env_usize("IATF_TRACE_CAPACITY", DEFAULT_CAPACITY, 2))
 }
 
+/// The calling thread's ring; dropping it (at thread exit) moves the
+/// ring's undrained events and loss count into the registry's retired
+/// buffer.
+#[cfg(feature = "enabled")]
+struct RingHandle(Arc<SpanRing>);
+
+#[cfg(feature = "enabled")]
+impl Drop for RingHandle {
+    fn drop(&mut self) {
+        let mut reg = registry();
+        reg.rings.retain(|r| !Arc::ptr_eq(r, &self.0));
+        let mut events = Vec::new();
+        reg.retired_dropped += self.0.dropped();
+        self.0.drain(&mut events);
+        reg.retired.extend(events);
+        let excess = reg.retired.len().saturating_sub(ring_capacity());
+        reg.retired.drain(..excess);
+        reg.retired_dropped += excess as u64;
+    }
+}
+
 #[cfg(feature = "enabled")]
 thread_local! {
-    static THREAD_RING: Arc<SpanRing> = {
+    static THREAD_RING: RingHandle = {
         static NEXT_TID: AtomicU64 = AtomicU64::new(1);
         // ordering: Relaxed — id allocator: fetch_add's atomicity alone
         // guarantees unique tids; nothing else rides on this word.
@@ -69,12 +117,23 @@ thread_local! {
             NEXT_TID.fetch_add(1, Relaxed),
             ring_capacity(),
         ));
-        registry().lock().unwrap().push(Arc::clone(&ring));
+        registry().rings.push(Arc::clone(&ring));
         // Pin the epoch no later than the first registration so the first
         // event's timestamp is near zero.
         let _ = epoch();
-        ring
+        RingHandle(ring)
     };
+}
+
+/// Rings currently registered: one per live thread that has recorded a
+/// span (0 with the feature off).
+pub fn live_rings() -> usize {
+    #[cfg(feature = "enabled")]
+    {
+        registry().rings.len()
+    }
+    #[cfg(not(feature = "enabled"))]
+    0
 }
 
 /// Live timing span; pushes a completed event into the calling thread's
@@ -118,7 +177,14 @@ pub fn span_arg(kind: SpanKind, arg: u64) -> SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let dur = now_ns().saturating_sub(self.start_ns);
-        THREAD_RING.with(|r| r.push(self.kind, self.start_ns, dur, self.arg));
+        // A span closed during thread teardown, after the ring retired,
+        // counts as lost.
+        if THREAD_RING
+            .try_with(|r| r.0.push(self.kind, self.start_ns, dur, self.arg))
+            .is_err()
+        {
+            registry().retired_dropped += 1;
+        }
     }
 }
 
@@ -127,17 +193,19 @@ pub const fn is_enabled() -> bool {
     cfg!(feature = "enabled")
 }
 
-/// Drains every thread's ring: all surviving undrained events, merged and
-/// sorted chronologically by start time. Always empty with the feature
-/// off.
+/// Drains every thread's ring, and what exited threads left behind: all
+/// surviving undrained events, merged and sorted chronologically by start
+/// time. Always empty with the feature off.
 pub fn drain() -> Vec<SpanEvent> {
     #[cfg(feature = "enabled")]
     {
-        let rings: Vec<Arc<SpanRing>> = registry().lock().unwrap().clone();
-        let mut out = Vec::new();
-        for ring in rings {
+        let mut reg = registry();
+        let mut out: Vec<SpanEvent> = reg.retired.drain(..).collect();
+        reg.retired_dropped = 0;
+        for ring in &reg.rings {
             ring.drain(&mut out);
         }
+        drop(reg);
         out.sort_by_key(|e| (e.start_ns, e.tid));
         out
     }
@@ -145,12 +213,13 @@ pub fn drain() -> Vec<SpanEvent> {
     Vec::new()
 }
 
-/// Total events lost to overwrite-oldest across all rings since the last
-/// drain (0 with the feature off).
+/// Total events lost to overwrite-oldest across all rings, live and
+/// retired, since the last drain (0 with the feature off).
 pub fn dropped() -> u64 {
     #[cfg(feature = "enabled")]
     {
-        registry().lock().unwrap().iter().map(|r| r.dropped()).sum()
+        let reg = registry();
+        reg.retired_dropped + reg.rings.iter().map(|r| r.dropped()).sum::<u64>()
     }
     #[cfg(not(feature = "enabled"))]
     0
@@ -160,8 +229,13 @@ pub fn dropped() -> u64 {
 /// with the feature off).
 pub fn reset() {
     #[cfg(feature = "enabled")]
-    for ring in registry().lock().unwrap().iter() {
-        ring.clear();
+    {
+        let mut reg = registry();
+        reg.retired.clear();
+        reg.retired_dropped = 0;
+        for ring in &reg.rings {
+            ring.clear();
+        }
     }
 }
 

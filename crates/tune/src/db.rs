@@ -32,7 +32,11 @@ use crate::key::TuneKey;
 
 /// On-disk format version; bump on any incompatible layout change. Files
 /// carrying a different version are treated as absent (heuristics apply).
-pub const SCHEMA_VERSION: u64 = 1;
+///
+/// Version 2: every `parallel` bit of a version-1 file was raced on an
+/// executor that ran its "parallel" side on one thread, so those bits are
+/// discarded and measured again against real worker threads.
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// The measured winner recorded for one input fingerprint.
 ///
@@ -534,7 +538,7 @@ mod tests {
         let path = temp_path("partial");
         std::fs::write(
             &path,
-            r#"{"schema": 1, "generation": 6, "entries": [
+            r#"{"schema": 2, "generation": 6, "entries": [
                 {"key": "0:0:4:4:4:0:0:1024:1", "pack": 2, "group_packs": 8,
                  "l1_fraction": 0.75, "parallel": false,
                  "tuned_gflops": 3.5, "heuristic_gflops": 3.1, "noise": 0.02},
@@ -558,6 +562,27 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A version-1 db (parallel bits raced on a one-thread executor) loads
+    /// as absent, so its entries are swept again.
+    #[test]
+    fn schema_1_files_load_as_absent() {
+        let path = temp_path("schema1");
+        std::fs::write(
+            &path,
+            r#"{"schema": 1, "generation": 3, "entries": [
+                {"key": "0:0:4:4:4:0:0:1024:1", "pack": 2, "group_packs": 8,
+                 "l1_fraction": 0.75, "parallel": false,
+                 "tuned_gflops": 3.5, "heuristic_gflops": 3.1, "noise": 0.02}
+            ]}"#,
+        )
+        .unwrap();
+        let db = TuningDb::in_memory();
+        db.record(sample_key(4), sample_entry());
+        assert_eq!(db.load_from(&path), LoadOutcome::Corrupt);
+        assert!(db.lookup(&sample_key(4)).is_none());
+        std::fs::remove_file(&path).ok();
+    }
+
     /// A db written before provenance existed (no journal_event / host /
     /// recorded_at fields) must decode with provenance defaulted, not be
     /// skipped — pooled dbs keep their history across the upgrade.
@@ -566,7 +591,7 @@ mod tests {
         let path = temp_path("preprov");
         std::fs::write(
             &path,
-            r#"{"schema": 1, "generation": 9, "entries": [
+            r#"{"schema": 2, "generation": 9, "entries": [
                 {"key": "0:0:4:4:4:0:0:1024:1", "pack": 2, "group_packs": 8,
                  "l1_fraction": 0.75, "parallel": false,
                  "tuned_gflops": 3.5, "heuristic_gflops": 3.1, "noise": 0.02},

@@ -409,8 +409,6 @@ pub(crate) fn skewed(key: TuneKey, ns: u64) -> u64 {
 
 pub(crate) fn snapshot() -> WatchSnapshot {
     let threads: Vec<_> = crate::stats::registry()
-        .lock()
-        .unwrap()
         .iter()
         .map(|shard| (shard.read(), shard.min_ns(), shard.max_ns(), shard.flops_per_call))
         .collect();

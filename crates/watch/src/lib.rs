@@ -123,6 +123,18 @@ pub fn snapshot() -> WatchSnapshot {
     }
 }
 
+/// Per-thread shards currently registered: one per (live thread, class)
+/// plus one retired shard per class holding exited threads' totals (0
+/// with the feature off).
+pub fn registered_shards() -> usize {
+    #[cfg(feature = "enabled")]
+    {
+        stats::registered()
+    }
+    #[cfg(not(feature = "enabled"))]
+    0
+}
+
 /// Zeroes telemetry, detector state, events, flags, and the injection
 /// shim in place. Class registrations and persisted envelopes survive.
 pub fn reset() {
@@ -298,7 +310,9 @@ mod tests {
     /// The tentpole's exactness claim: N threads hammer a mix of shared
     /// and private shape classes; the merged per-class totals must equal
     /// the per-thread shard sums *exactly*, and the histogram mass must
-    /// equal the counts.
+    /// equal the counts. The snapshot is taken while the threads are still
+    /// alive (their shards fold into retired shards when they exit, which
+    /// the second half checks).
     #[test]
     fn concurrent_shard_merge_is_exact() {
         isolate();
@@ -308,8 +322,11 @@ mod tests {
         const THREADS: u64 = 8;
         const PER_THREAD: u64 = 500;
         let shared = key(6, 4096);
+        let recorded = std::sync::Arc::new(std::sync::Barrier::new(THREADS as usize + 1));
+        let snapped = std::sync::Arc::new(std::sync::Barrier::new(THREADS as usize + 1));
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
+                let (recorded, snapped) = (recorded.clone(), snapped.clone());
                 std::thread::spawn(move || {
                     let private = key(100 + t as u32, 4096);
                     for i in 0..PER_THREAD {
@@ -317,14 +334,18 @@ mod tests {
                         observe_ns(shared, 1000 + i * 7 + t, 1.0e6);
                         observe_ns(private, 500 + i, 1.0e6);
                     }
+                    recorded.wait();
+                    snapped.wait();
                 })
             })
             .collect();
+        recorded.wait();
+        let s = snapshot();
+        snapped.wait();
         for h in handles {
             h.join().unwrap();
         }
-
-        let s = snapshot();
+        let after_exit = snapshot();
         assert!(s.enabled);
         let merged = s
             .classes
@@ -355,6 +376,20 @@ mod tests {
             let shards: Vec<_> = s.threads.iter().filter(|th| th.key == k).collect();
             assert_eq!(shards.len(), 1);
             assert_eq!(shards[0].count, c.count);
+        }
+
+        // Exited threads' shards folded into one retired shard per class
+        // (tid 0), with the merged totals unchanged.
+        for k in std::iter::once(shared).chain((0..THREADS).map(|t| key(100 + t as u32, 4096))) {
+            let before = s.classes.iter().find(|c| c.key == k).unwrap();
+            let after = after_exit.classes.iter().find(|c| c.key == k).unwrap();
+            assert_eq!(after.count, before.count);
+            assert_eq!(after.total_ns, before.total_ns);
+            assert_eq!(after.hist, before.hist);
+            assert_eq!((after.min_ns, after.max_ns), (before.min_ns, before.max_ns));
+            let shards: Vec<_> = after_exit.threads.iter().filter(|t| t.key == k).collect();
+            assert_eq!(shards.len(), 1, "exited threads must fold into one shard");
+            assert_eq!(shards[0].tid, 0);
         }
     }
 

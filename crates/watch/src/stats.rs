@@ -6,7 +6,9 @@
 //! thread's first dispatch of a class, cached in a thread-local map, and
 //! registered in a global list that snapshots merge; after that first
 //! touch the record path is a handful of relaxed atomic adds with no
-//! locks, no allocation, and no syscalls. Single-writer/multi-reader
+//! locks, no allocation, and no syscalls. When a thread exits, its shards
+//! fold into one retired shard per class, so the list does not grow with
+//! thread churn. Single-writer/multi-reader
 //! atomics make the merged totals *exactly* the per-thread sums — the
 //! merge test in `lib.rs` asserts equality, not approximation.
 //!
@@ -15,7 +17,7 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::sync::{AtomicU64, Ordering::Relaxed};
 
@@ -108,6 +110,24 @@ impl ClassShard {
         }
     }
 
+    /// Adds an exited thread's totals into this retired shard. Called
+    /// under the registry lock, which makes the lock holder the shard's
+    /// single writer.
+    fn absorb(&self, other: &ClassShard) {
+        let s = other.read();
+        // ordering: Relaxed — same single-writer accumulators as `record`
+        // (the registry lock serializes every writer of a retired shard);
+        // `count` first, as in `record`, so concurrent snapshots never see
+        // more histogram mass than count.
+        self.count.fetch_add(s.count, Relaxed);
+        self.total_ns.fetch_add(s.total_ns, Relaxed);
+        self.min_ns.fetch_min(other.min_ns(), Relaxed);
+        self.max_ns.fetch_max(other.max_ns(), Relaxed);
+        for (dst, n) in self.hist.iter().zip(s.hist) {
+            dst.fetch_add(n, Relaxed);
+        }
+    }
+
     pub(crate) fn min_ns(&self) -> u64 {
         // ordering: Relaxed — advisory snapshot of a single-writer word.
         self.min_ns.load(Relaxed)
@@ -119,19 +139,64 @@ impl ClassShard {
     }
 }
 
-pub(crate) fn registry() -> &'static Mutex<Vec<Arc<ClassShard>>> {
+/// Thread id of the shards that hold the folded totals of exited threads
+/// (one per class).
+const RETIRED_TID: u64 = 0;
+
+/// Every live thread's shards plus one retired shard per class. A thread's
+/// shards fold into the retired ones when the thread exits, so the list
+/// stays bounded by live threads × classes + classes however many threads
+/// come and go.
+pub(crate) fn registry() -> MutexGuard<'static, Vec<Arc<ClassShard>>> {
     static SHARDS: OnceLock<Mutex<Vec<Arc<ClassShard>>>> = OnceLock::new();
-    SHARDS.get_or_init(|| Mutex::new(Vec::new()))
+    SHARDS
+        .get_or_init(|| Mutex::new(Vec::new()))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The retired shard of `key`, created on first use.
+fn retired_shard(
+    shards: &mut Vec<Arc<ClassShard>>,
+    key: TuneKey,
+    flops_per_call: f64,
+) -> Arc<ClassShard> {
+    if let Some(r) = shards.iter().find(|s| s.tid == RETIRED_TID && s.key == key) {
+        return Arc::clone(r);
+    }
+    let r = Arc::new(ClassShard::new(RETIRED_TID, key, flops_per_call));
+    shards.push(Arc::clone(&r));
+    r
 }
 
 /// One class's record-path handles: this thread's shard plus the shared
 /// per-class detector.
 type ClassHandles = (Arc<ClassShard>, Arc<ClassWatch>);
 
+/// This thread's shard + detector handle per class, so the steady state
+/// touches no global locks. Dropping it (at thread exit) folds every shard
+/// into its class's retired shard.
+#[derive(Default)]
+struct ThreadCache(HashMap<TuneKey, ClassHandles>);
+
+impl Drop for ThreadCache {
+    fn drop(&mut self) {
+        let mut shards = registry();
+        for (key, (shard, _)) in self.0.drain() {
+            shards.retain(|s| !Arc::ptr_eq(s, &shard));
+            retired_shard(&mut shards, key, shard.flops_per_call).absorb(&shard);
+        }
+    }
+}
+
 thread_local! {
-    /// This thread's shard + detector handle per class, so the steady
-    /// state touches no global locks.
-    static CACHE: RefCell<HashMap<TuneKey, ClassHandles>> = RefCell::new(HashMap::new());
+    static CACHE: RefCell<ThreadCache> = RefCell::new(ThreadCache::default());
+}
+
+/// Shards currently registered: live threads' shards plus one retired
+/// shard per class.
+pub(crate) fn registered() -> usize {
+    registry().len()
 }
 
 fn thread_id() -> u64 {
@@ -150,22 +215,28 @@ fn thread_id() -> u64 {
 /// detector update.
 pub(crate) fn record(key: TuneKey, ns: u64, flops_per_call: f64) {
     let ns = drift::skewed(key, ns);
-    CACHE.with(|cache| {
+    let recorded = CACHE.try_with(|cache| {
         let mut cache = cache.borrow_mut();
-        let (shard, watch) = cache.entry(key).or_insert_with(|| {
+        let (shard, watch) = cache.0.entry(key).or_insert_with(|| {
             let shard = Arc::new(ClassShard::new(thread_id(), key, flops_per_call));
-            registry().lock().unwrap().push(Arc::clone(&shard));
+            registry().push(Arc::clone(&shard));
             (shard, drift::class_for(key, flops_per_call))
         });
         shard.record(ns);
         watch.observe(ns);
     });
+    if recorded.is_err() {
+        // Thread teardown, after this thread's shards retired: record into
+        // the retired shard, under the lock that serializes its writers.
+        retired_shard(&mut registry(), key, flops_per_call).record(ns);
+        drift::class_for(key, flops_per_call).observe(ns);
+    }
 }
 
 /// Zeroes every shard in place (registrations and thread caches stay
 /// valid; see `reset()` in the crate root for the full story).
 pub(crate) fn zero_all() {
-    for shard in registry().lock().unwrap().iter() {
+    for shard in registry().iter() {
         shard.zero();
     }
 }

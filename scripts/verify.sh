@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full pre-merge verification: tier-1 build+test (repeated under every
 # executable forced vector width), every feature-gate state (obs,
-# parallel, trace, watch, journal), the perf-regression sentinel against
+# trace, watch, journal), the perf-regression sentinel against
 # the committed baselines, the width-sweep gate (wider backends must not
 # lose to 128-bit), the trace/roofline smoke, the watch drift-detection
 # smoke, the journal causal-chain selftest + overhead gate, and a clean
@@ -43,10 +43,6 @@ echo "==> obs counters/timers live + explainer predictions match counters"
 cargo test -q -p iatf-obs --features enabled
 cargo test -q -p iatf-core --features obs
 
-echo "==> parallel executors: bit-exact vs serial, plan cache under threads"
-cargo test -q -p iatf-core --features parallel
-cargo test -q -p iatf-core --features parallel,obs
-
 echo "==> flight recorder: probes are exact no-ops when the feature is off"
 cargo test -q -p iatf-trace
 
@@ -60,7 +56,7 @@ cargo test -q -p iatf-watch
 echo "==> watch live: histograms, control charts, envelopes, retune loop"
 cargo test -q -p iatf-watch --features enabled
 cargo test -q -p iatf-core --features watch
-cargo test -q -p iatf-core --features watch,parallel,obs,trace
+cargo test -q -p iatf-core --features watch,obs,trace
 
 echo "==> journal: probes are exact no-ops when the feature is off"
 cargo test -q -p iatf-journal
@@ -68,17 +64,16 @@ cargo test -q -p iatf-journal
 echo "==> journal live: ledger, segment rotation, corruption-tolerant replay"
 cargo test -q -p iatf-journal --features enabled
 cargo test -q -p iatf-core --features journal
-cargo test -q -p iatf-core --features journal,parallel,obs
-cargo test -q -p iatf-core --features journal,watch,parallel,obs
+cargo test -q -p iatf-core --features journal,obs
+cargo test -q -p iatf-core --features journal,watch,obs
 
 echo "==> bench harness builds in every feature state"
 cargo build --release -p iatf-bench
 cargo build --release -p iatf-bench --features obs
-cargo build --release -p iatf-bench --features parallel,obs
 cargo build --release -p iatf-bench --features trace
 cargo build --release -p iatf-bench --features watch
 cargo build --release -p iatf-bench --features journal
-cargo build --release -p iatf-bench --features parallel,obs,trace,watch,journal
+cargo build --release -p iatf-bench --features obs,trace,watch,journal
 
 echo "==> iatf-tune: sweep harness + tuning-db robustness (both obs states)"
 cargo test -q -p iatf-tune
@@ -99,11 +94,11 @@ echo "==> sentinel: current perf vs committed BENCH_3/BENCH_4/BENCH_5 baselines"
 # that are actually committed.
 mkdir -p target/tune-tests
 IATF_TUNE_DB=target/tune-tests/sentinel.json \
-  timeout 600 cargo run -q --release -p iatf-bench --features parallel,obs --bin reproduce -- \
+  timeout 600 cargo run -q --release -p iatf-bench --features obs --bin reproduce -- \
   sentinel
 
 echo "==> plan-cache amortization smoke (reproduce callamort)"
-cargo run -q --release -p iatf-bench --features parallel,obs --bin reproduce -- \
+cargo run -q --release -p iatf-bench --features obs --bin reproduce -- \
   callamort --json > target/BENCH_3.json
 python3 - <<'EOF'
 import json
@@ -113,7 +108,7 @@ cache = doc["plan_cache"]
 tp = doc["throughput"]
 assert cache["hits"] > 0 and cache["misses"] > 0, "cache never exercised"
 assert cache["bypasses"] > 0, "bypass policy never exercised"
-assert tp["parallel_feature"] and len(tp["parallel_gflops"]) == len(tp["sizes"])
+assert len(tp["parallel_gflops"]) == len(tp["sizes"])
 assert ratio >= 5.0, f"cached dispatch must be >=5x cheaper, measured {ratio:.1f}x"
 print(f"    aggregate amortization ratio: {ratio:.1f}x "
       f"({cache['hits']} hits / {cache['misses']} misses)")
@@ -126,7 +121,7 @@ echo "==> input-aware autotuner smoke (reproduce tune)"
 mkdir -p target/tune-tests
 rm -f target/tune-tests/ci-tune.json
 IATF_TUNE_DB=target/tune-tests/ci-tune.json \
-  timeout 600 cargo run -q --release -p iatf-bench --features parallel,obs --bin reproduce -- \
+  timeout 600 cargo run -q --release -p iatf-bench --features obs --bin reproduce -- \
   tune --quick --json > target/BENCH_4.json
 python3 - <<'EOF'
 import json
@@ -154,7 +149,7 @@ test -s target/tune-tests/ci-tune.json || {
 echo "    wrote target/BENCH_4.json (promote to ./BENCH_4.json to refresh the baseline)"
 
 echo "==> width sweep: wider backends vs the 128-bit baseline (reproduce widths)"
-cargo run -q --release -p iatf-bench --features parallel,obs --bin reproduce -- \
+cargo run -q --release -p iatf-bench --features obs --bin reproduce -- \
   widths --json > target/BENCH_8.json
 python3 - <<'EOF'
 import json
@@ -312,9 +307,9 @@ echo "==> journal overhead gate: warm dispatch, feature on vs off"
 # max(3*noise, 2%) of the journal-off build. IATF_JOURNAL_DIR= (set
 # empty) keeps the enabled run in-memory so the probe never pays
 # segment I/O it wouldn't pay in steady state either.
-IATF_JOURNAL_DIR= timeout 600 cargo run -q --release -p iatf-bench --features parallel,obs --bin reproduce -- \
+IATF_JOURNAL_DIR= timeout 600 cargo run -q --release -p iatf-bench --features obs --bin reproduce -- \
   journal --overhead --json > target/journal_overhead_off.json
-IATF_JOURNAL_DIR= timeout 600 cargo run -q --release -p iatf-bench --features parallel,obs,journal --bin reproduce -- \
+IATF_JOURNAL_DIR= timeout 600 cargo run -q --release -p iatf-bench --features obs,journal --bin reproduce -- \
   journal --overhead --json > target/journal_overhead_on.json
 python3 - <<'EOF'
 import json
