@@ -1384,8 +1384,7 @@ impl TunePoint {
 /// heuristic, so `tuned >= heuristic` holds by construction and the
 /// interesting statistic is how often the win clears the noise floor.
 fn tune_bench(opts: &Opts) {
-    use iatf_core::autotune::{gemm_tune_key, trsm_tune_key};
-    use iatf_core::TunePolicy;
+    use iatf_core::{ensure_tuned, CompactOp, GemmPlan, GemmShape, TriShape, TrsmPlan, TunePolicy};
     use iatf_layout::{GemmDims, TrsmDims};
     use iatf_tune::TuningDb;
 
@@ -1406,8 +1405,9 @@ fn tune_bench(opts: &Opts) {
     for &n in &opts.sizes {
         let count = scaled_batch(opts.batch_base, n);
         let gdims = GemmDims::square(n);
-        iatf_core::ensure_tuned_gemm::<f32>(gdims, GemmMode::NN, false, false, count, &cfg);
-        if let Some(e) = db.lookup(&gemm_tune_key::<f32>(gdims, GemmMode::NN, false, false, count, cfg.width))
+        let shape = GemmShape::new(gdims, GemmMode::NN, false, false);
+        ensure_tuned::<GemmPlan<f32>>(shape, count, &cfg);
+        if let Some(e) = db.lookup(&GemmPlan::<f32>::tune_key(shape, count, cfg.width))
         {
             points.push(TunePoint {
                 op: "gemm",
@@ -1420,8 +1420,9 @@ fn tune_bench(opts: &Opts) {
             });
         }
         let tdims = TrsmDims::square(n);
-        iatf_core::ensure_tuned_trsm::<f64>(tdims, TrsmMode::LNLN, false, count, &cfg);
-        if let Some(e) = db.lookup(&trsm_tune_key::<f64>(tdims, TrsmMode::LNLN, false, count, cfg.width)) {
+        let shape = TriShape::new(tdims, TrsmMode::LNLN, false);
+        ensure_tuned::<TrsmPlan<f64>>(shape, count, &cfg);
+        if let Some(e) = db.lookup(&TrsmPlan::<f64>::tune_key(shape, count, cfg.width)) {
             points.push(TunePoint {
                 op: "trsm",
                 dtype: "f64",
@@ -1931,7 +1932,8 @@ fn trace_bench(opts: &Opts) {
             tune: TunePolicy::FirstTouch(10),
             ..TuningConfig::default()
         };
-        iatf_core::ensure_tuned_gemm::<f32>(GemmDims::square(4), GemmMode::NN, false, false, 64, &tcfg);
+        let shape = iatf_core::GemmShape::new(GemmDims::square(4), GemmMode::NN, false, false);
+        iatf_core::ensure_tuned::<iatf_core::GemmPlan<f32>>(shape, 64, &tcfg);
     }
     sink.drain();
 
@@ -2203,8 +2205,7 @@ fn sentinel_throughput(base: &iatf_obs::Json, checks: &mut Vec<SentinelCheck>) {
 /// tuned-GFLOPS against the committed numbers. The subset keeps the gate
 /// fast; the full grid is re-measured whenever the baseline regenerates.
 fn sentinel_tune(base: &iatf_obs::Json, checks: &mut Vec<SentinelCheck>) {
-    use iatf_core::autotune::{gemm_tune_key, trsm_tune_key};
-    use iatf_core::TunePolicy;
+    use iatf_core::{ensure_tuned, CompactOp, GemmPlan, GemmShape, TriShape, TrsmPlan, TunePolicy};
     use iatf_layout::{GemmDims, TrsmDims};
 
     let Some(points) = base.get("points").and_then(|v| v.as_array()) else {
@@ -2262,13 +2263,15 @@ fn sentinel_tune(base: &iatf_obs::Json, checks: &mut Vec<SentinelCheck>) {
         let entry = match (op.as_str(), dt.as_str()) {
             ("gemm", "f32") => {
                 let dims = GemmDims::square(n);
-                iatf_core::ensure_tuned_gemm::<f32>(dims, GemmMode::NN, false, false, count, &cfg);
-                db.lookup(&gemm_tune_key::<f32>(dims, GemmMode::NN, false, false, count, cfg.width))
+                let shape = GemmShape::new(dims, GemmMode::NN, false, false);
+                ensure_tuned::<GemmPlan<f32>>(shape, count, &cfg);
+                db.lookup(&GemmPlan::<f32>::tune_key(shape, count, cfg.width))
             }
             ("trsm", "f64") => {
                 let dims = TrsmDims::square(n);
-                iatf_core::ensure_tuned_trsm::<f64>(dims, TrsmMode::LNLN, false, count, &cfg);
-                db.lookup(&trsm_tune_key::<f64>(dims, TrsmMode::LNLN, false, count, cfg.width))
+                let shape = TriShape::new(dims, TrsmMode::LNLN, false);
+                ensure_tuned::<TrsmPlan<f64>>(shape, count, &cfg);
+                db.lookup(&TrsmPlan::<f64>::tune_key(shape, count, cfg.width))
             }
             _ => {
                 eprintln!("   warning: unknown baseline point {op}/{dt} — skipping");
@@ -2472,8 +2475,7 @@ fn sentinel(opts: &Opts) {
 /// its fresh envelope. `--json` emits the `BENCH_6.json` document; the
 /// Prometheus exposition always lands in `target/watch_prometheus.txt`.
 fn watch_bench(opts: &Opts) {
-    use iatf_core::autotune::gemm_tune_key;
-    use iatf_core::{compact_gemm, watch, PlanCachePolicy, TunePolicy};
+    use iatf_core::{compact_gemm, watch, CompactOp, GemmPlan, GemmShape, PlanCachePolicy, TunePolicy};
     use iatf_layout::{CompactBatch, GemmDims, StdBatch};
     use iatf_tune::TuningDb;
 
@@ -2518,7 +2520,11 @@ fn watch_bench(opts: &Opts) {
             a: CompactBatch::from_std(&StdBatch::<f32>::random(n, n, count, 11)),
             b: CompactBatch::from_std(&StdBatch::<f32>::random(n, n, count, 22)),
             c: CompactBatch::<f32>::zeroed(n, n, count),
-            key: gemm_tune_key::<f32>(GemmDims::square(n), GemmMode::NN, false, false, count, cfg.width),
+            key: GemmPlan::<f32>::tune_key(
+                GemmShape::new(GemmDims::square(n), GemmMode::NN, false, false),
+                count,
+                cfg.width,
+            ),
         })
         .collect();
 
@@ -2848,8 +2854,9 @@ fn journal_scratch_env() {
 /// reconstructable via `follow`, both from the in-memory ledger and from
 /// a disk replay. Exits 1 listing every broken link.
 fn journal_selftest(opts: &Opts) {
-    use iatf_core::autotune::gemm_tune_key;
-    use iatf_core::{compact_gemm, journal, watch, PlanCachePolicy, TunePolicy};
+    use iatf_core::{
+        compact_gemm, journal, watch, CompactOp, GemmPlan, GemmShape, PlanCachePolicy, TunePolicy,
+    };
     use iatf_layout::{CompactBatch, GemmDims, StdBatch};
     use iatf_tune::TuningDb;
 
@@ -2886,7 +2893,8 @@ fn journal_selftest(opts: &Opts) {
     };
     let n = 8usize;
     let count = opts.batch_base.clamp(64, 256);
-    let key = gemm_tune_key::<f32>(GemmDims::square(n), GemmMode::NN, false, false, count, cfg.width);
+    let shape = GemmShape::new(GemmDims::square(n), GemmMode::NN, false, false);
+    let key = GemmPlan::<f32>::tune_key(shape, count, cfg.width);
     let kstr = key.encode();
 
     let a = CompactBatch::from_std(&StdBatch::<f32>::random(n, n, count, 11));

@@ -12,50 +12,45 @@
 use crate::autotune;
 use crate::config::{PlanCachePolicy, TunePolicy, TuningConfig};
 use crate::elem::CompactElement;
-use crate::plan::{cache, GemmPlan, TrmmPlan, TrsmPlan};
-use iatf_layout::{CompactBatch, GemmDims, GemmMode, LayoutError, StdBatch, Trans, TrsmDims, TrsmMode};
+use crate::plan::{cache, CompactOp, GemmPlan, GemmShape, TriShape, TrmmPlan, TrsmPlan};
+use iatf_layout::{
+    CompactBatch, GemmDims, GemmMode, LayoutError, StdBatch, Trans, TrsmDims, TrsmMode,
+};
 
-/// Runs a GEMM plan on the path its serial/parallel crossover picked at
-/// build ([`GemmPlan::use_parallel`]). Both paths produce bit-identical
-/// results.
-fn run_gemm<E: CompactElement>(
-    plan: &GemmPlan<E>,
-    alpha: E,
-    a: &CompactBatch<E>,
-    b: &CompactBatch<E>,
-    beta: E,
-    c: &mut CompactBatch<E>,
+/// The one entry path every one-shot call runs: first-touch tuning and
+/// drift remediation, the watch span, the plan (shared or bypassed), then
+/// `run(plan, parallel)` on the path [`CompactOp::use_parallel`] picked at
+/// build (both paths produce bit-identical results). Tuning and
+/// remediation run *before* the plan-cache key is computed, so the key
+/// reflects the post-sweep db generation and the tuned plan is what gets
+/// cached — and before the watch span opens, so sweep time is never
+/// recorded as warm-dispatch latency.
+fn dispatch<P: CompactOp>(
+    shape: P::Shape,
+    count: usize,
+    cfg: &TuningConfig,
+    run: impl FnOnce(&P, bool) -> Result<(), LayoutError>,
 ) -> Result<(), LayoutError> {
-    if plan.use_parallel() {
-        return plan.execute_parallel(alpha, a, b, beta, c);
+    if matches!(cfg.tune, TunePolicy::FirstTouch(_)) {
+        autotune::ensure_tuned::<P>(shape, count, cfg);
     }
-    plan.execute(alpha, a, b, beta, c)
-}
-
-/// TRSM twin of [`run_gemm`].
-fn run_trsm<E: CompactElement>(
-    plan: &TrsmPlan<E>,
-    alpha: E,
-    a: &CompactBatch<E>,
-    b: &mut CompactBatch<E>,
-) -> Result<(), LayoutError> {
-    if plan.use_parallel() {
-        return plan.execute_parallel(alpha, a, b);
-    }
-    plan.execute(alpha, a, b)
-}
-
-/// TRMM twin of [`run_gemm`].
-fn run_trmm<E: CompactElement>(
-    plan: &TrmmPlan<E>,
-    alpha: E,
-    a: &CompactBatch<E>,
-    b: &mut CompactBatch<E>,
-) -> Result<(), LayoutError> {
-    if plan.use_parallel() {
-        return plan.execute_parallel(alpha, a, b);
-    }
-    plan.execute(alpha, a, b)
+    autotune::maybe_retune::<P>(shape, count, cfg);
+    let _watch = iatf_watch::dispatch_span(|| {
+        (P::tune_key(shape, count, cfg.width), P::flops(shape, count))
+    });
+    let (shared, built);
+    let plan: &P = match cfg.plan_cache {
+        PlanCachePolicy::Shared => {
+            shared = cache::cached::<P>(shape, count, cfg)?;
+            &shared
+        }
+        PlanCachePolicy::Bypass => {
+            cache::note_bypass();
+            built = P::build(shape, count, cfg)?;
+            &built
+        }
+    };
+    run(plan, plan.use_parallel())
 }
 
 /// Compact batched GEMM: `C = α·op(A)·op(B) + β·C` for every matrix in the
@@ -104,33 +99,10 @@ pub fn compact_gemm_ex<E: CompactElement>(
         Trans::No => a.cols(),
         Trans::Yes => a.rows(),
     };
-    let dims = GemmDims::new(c.rows(), c.cols(), k);
-    // First-touch tuning runs *before* the plan-cache key is computed, so
-    // the key already reflects the post-sweep db generation and the tuned
-    // plan is what gets cached. Drift remediation sits in the same spot
-    // for the same reason — and both run *before* the watch span opens,
-    // so sweep time is never recorded as warm-dispatch latency.
-    if matches!(cfg.tune, TunePolicy::FirstTouch(_)) {
-        autotune::ensure_tuned_gemm::<E>(dims, mode, conj_a, conj_b, c.count(), cfg);
-    }
-    autotune::maybe_retune_gemm::<E>(dims, mode, conj_a, conj_b, c.count(), cfg);
-    let _watch = iatf_watch::dispatch_span(|| {
-        (
-            autotune::gemm_tune_key::<E>(dims, mode, conj_a, conj_b, c.count(), cfg.width),
-            E::DTYPE.flops_per_mac() as f64 * dims.macs() as f64 * c.count() as f64,
-        )
-    });
-    match cfg.plan_cache {
-        PlanCachePolicy::Shared => {
-            let plan = cache::cached_gemm_plan::<E>(dims, mode, conj_a, conj_b, c.count(), cfg)?;
-            run_gemm(&plan, alpha, a, b, beta, c)
-        }
-        PlanCachePolicy::Bypass => {
-            cache::note_bypass();
-            let plan = GemmPlan::<E>::new(dims, mode, conj_a, conj_b, c.count(), cfg)?;
-            run_gemm(&plan, alpha, a, b, beta, c)
-        }
-    }
+    let shape = GemmShape::new(GemmDims::new(c.rows(), c.cols(), k), mode, conj_a, conj_b);
+    dispatch(shape, c.count(), cfg, |p: &GemmPlan<E>, parallel| {
+        p.run(parallel, alpha, a, b, beta, c)
+    })
 }
 
 /// Compact batched TRSM: solves `op(A)·X = α·B` (left) or `X·op(A) = α·B`
@@ -158,28 +130,10 @@ pub fn compact_trsm_ex<E: CompactElement>(
     b: &mut CompactBatch<E>,
     cfg: &TuningConfig,
 ) -> Result<(), LayoutError> {
-    let dims = TrsmDims::new(b.rows(), b.cols());
-    if matches!(cfg.tune, TunePolicy::FirstTouch(_)) {
-        autotune::ensure_tuned_trsm::<E>(dims, mode, conj, b.count(), cfg);
-    }
-    autotune::maybe_retune_trsm::<E>(dims, mode, conj, b.count(), cfg);
-    let _watch = iatf_watch::dispatch_span(|| {
-        (
-            autotune::trsm_tune_key::<E>(dims, mode, conj, b.count(), cfg.width),
-            E::DTYPE.flops_per_mac() as f64 * dims.macs(mode) as f64 * b.count() as f64,
-        )
-    });
-    match cfg.plan_cache {
-        PlanCachePolicy::Shared => {
-            let plan = cache::cached_trsm_plan::<E>(dims, mode, conj, b.count(), cfg)?;
-            run_trsm(&plan, alpha, a, b)
-        }
-        PlanCachePolicy::Bypass => {
-            cache::note_bypass();
-            let plan = TrsmPlan::<E>::new(dims, mode, conj, b.count(), cfg)?;
-            run_trsm(&plan, alpha, a, b)
-        }
-    }
+    let shape = TriShape::new(TrsmDims::new(b.rows(), b.cols()), mode, conj);
+    dispatch(shape, b.count(), cfg, |p: &TrsmPlan<E>, parallel| {
+        p.run(parallel, alpha, a, b)
+    })
 }
 
 /// Compact batched TRMM (extension): `B = α·op(A)·B` (left) or
@@ -206,28 +160,10 @@ pub fn compact_trmm_ex<E: CompactElement>(
     b: &mut CompactBatch<E>,
     cfg: &TuningConfig,
 ) -> Result<(), LayoutError> {
-    let dims = TrsmDims::new(b.rows(), b.cols());
-    if matches!(cfg.tune, TunePolicy::FirstTouch(_)) {
-        autotune::ensure_tuned_trmm::<E>(dims, mode, conj, b.count(), cfg);
-    }
-    autotune::maybe_retune_trmm::<E>(dims, mode, conj, b.count(), cfg);
-    let _watch = iatf_watch::dispatch_span(|| {
-        (
-            autotune::trmm_tune_key::<E>(dims, mode, conj, b.count(), cfg.width),
-            E::DTYPE.flops_per_mac() as f64 * dims.macs(mode) as f64 * b.count() as f64,
-        )
-    });
-    match cfg.plan_cache {
-        PlanCachePolicy::Shared => {
-            let plan = cache::cached_trmm_plan::<E>(dims, mode, conj, b.count(), cfg)?;
-            run_trmm(&plan, alpha, a, b)
-        }
-        PlanCachePolicy::Bypass => {
-            cache::note_bypass();
-            let plan = TrmmPlan::<E>::new(dims, mode, conj, b.count(), cfg)?;
-            run_trmm(&plan, alpha, a, b)
-        }
-    }
+    let shape = TriShape::new(TrsmDims::new(b.rows(), b.cols()), mode, conj);
+    dispatch(shape, b.count(), cfg, |p: &TrmmPlan<E>, parallel| {
+        p.run(parallel, alpha, a, b)
+    })
 }
 
 /// Convenience: GEMM on standard column-major batches, converting to the

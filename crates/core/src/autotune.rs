@@ -4,9 +4,12 @@
 //! interleaved sweeps ([`iatf_tune::sweep`]) and how to persist winners
 //! ([`iatf_tune::TuningDb`]). This module owns everything BLAS-shaped:
 //!
-//! * **Keys** — mapping an input fingerprint (op, dtype, dims, mode,
-//!   conjugation, group count) to a [`TuneKey`], reusing the exact mode
-//!   encodings the plan cache keys use.
+//! Every function here is generic over the op descriptor
+//! [`CompactOp`](crate::plan::CompactOp): one lookup, one first-touch
+//! sweep, one drift retune for GEMM, TRSM and TRMM alike. The op supplies
+//! the [`TuneKey`] (the plan cache keys on the same value), candidate
+//! plans, a dedupe signature and synthetic operands.
+//!
 //! * **Candidates** — the space the sweep explores: the heuristic plan
 //!   (always candidate 0, so the winner can never be slower than the
 //!   baseline *in the sweep's own numbers*), pack-policy variants, L1
@@ -15,12 +18,10 @@
 //!   decode to the same plan decisions are deduplicated before timing.
 //! * **Workloads** — synthetic operands sized like the real input but
 //!   capped in group count so the sweep's working set stays modest.
-//!   Triangular sweeps run against identity matrices, making repeated
-//!   in-place solves a bitwise fixed point (no drift across timing reps).
 //! * **Decisions** — translating a recorded [`TunedEntry`] back into the
 //!   overrides the planners consume ([`TunedDecision`]).
 //!
-//! Consultation (`lookup_*`) is cheap — one mutex-guarded hash lookup —
+//! Consultation ([`lookup`]) is cheap — one mutex-guarded hash lookup —
 //! and only happens when [`TunePolicy`] is `Cached` or `FirstTouch`; the
 //! default `Heuristic` policy never touches the db. Sweeps build their
 //! candidate plans with a `Heuristic` config, so tuning never recurses
@@ -30,21 +31,17 @@ use std::cell::RefCell;
 use std::time::Duration;
 
 use crate::config::{BatchPolicy, PackPolicy, PlanCachePolicy, TunePolicy, TuningConfig};
-use crate::elem::CompactElement;
-use crate::plan::{cache, GemmPlan, TrmmPlan, TrsmPlan};
-use iatf_layout::{CompactBatch, GemmDims, GemmMode, StdBatch, TrsmDims, TrsmMode};
+use crate::plan::CompactOp;
 use iatf_obs as obs;
 use iatf_simd::VecWidth;
 use iatf_trace as trace;
-use iatf_tune::{sweep, SweepReport, TuneKey, TuneOp, TunedEntry, TuningDb};
+use iatf_tune::{sweep as timed_sweep, SweepReport, TuneKey, TunedEntry, TuningDb};
 
 /// Overrides a tuned entry imposes on one planner invocation.
 #[derive(Copy, Clone, Debug)]
 pub(crate) struct TunedDecision {
-    /// Pack Selecter override (`None` never occurs today — the entry
-    /// always records the winner's policy — but planners treat `None` as
-    /// "keep the config's policy" for forward compatibility).
-    pub pack: Option<PackPolicy>,
+    /// Pack Selecter override: the winner's recorded policy.
+    pub pack: PackPolicy,
     /// Batch Counter override; `None` keeps the heuristic L1-model size.
     pub group_packs: Option<usize>,
     /// Serial→parallel crossover: whether parallel execution measured
@@ -54,7 +51,7 @@ pub(crate) struct TunedDecision {
 
 fn decision_from(entry: TunedEntry) -> TunedDecision {
     TunedDecision {
-        pack: Some(policy_from_code(entry.pack)),
+        pack: policy_from_code(entry.pack),
         group_packs: usize::try_from(entry.group_packs)
             .ok()
             .filter(|&gp| gp > 0),
@@ -78,73 +75,17 @@ fn policy_from_code(code: u8) -> PackPolicy {
     }
 }
 
-fn dim32(d: usize) -> u32 {
-    u32::try_from(d).unwrap_or(u32::MAX)
-}
-
-/// The db key the planners use for a GEMM input (exports and tests use
-/// this to address entries the same way the run-time stage does).
-pub fn gemm_tune_key<E: CompactElement>(
-    dims: GemmDims,
-    mode: GemmMode,
-    conj_a: bool,
-    conj_b: bool,
+/// The tuned decision for this input, if the policy consults the db and
+/// it holds an entry. The `Heuristic` policy returns before building a key.
+pub(crate) fn lookup<P: CompactOp>(
+    shape: P::Shape,
     count: usize,
-    width: VecWidth,
-) -> TuneKey {
-    TuneKey {
-        op: TuneOp::Gemm,
-        dtype: E::DTYPE as u8,
-        m: dim32(dims.m),
-        n: dim32(dims.n),
-        k: dim32(dims.k),
-        mode: cache::gemm_mode_bits(mode),
-        conj: (conj_a as u8) | ((conj_b as u8) << 1),
-        count: count as u64,
-        width: width.code(),
-    }
-}
-
-/// The db key for a TRSM input.
-pub fn trsm_tune_key<E: CompactElement>(
-    dims: TrsmDims,
-    mode: TrsmMode,
-    conj: bool,
-    count: usize,
-    width: VecWidth,
-) -> TuneKey {
-    TuneKey {
-        op: TuneOp::Trsm,
-        dtype: E::DTYPE as u8,
-        m: dim32(dims.m),
-        n: dim32(dims.n),
-        k: 0,
-        mode: cache::trsm_mode_bits(mode),
-        conj: conj as u8,
-        count: count as u64,
-        width: width.code(),
-    }
-}
-
-/// The db key for a TRMM input.
-pub fn trmm_tune_key<E: CompactElement>(
-    dims: TrsmDims,
-    mode: TrsmMode,
-    conj: bool,
-    count: usize,
-    width: VecWidth,
-) -> TuneKey {
-    TuneKey {
-        op: TuneOp::Trmm,
-        ..trsm_tune_key::<E>(dims, mode, conj, count, width)
-    }
-}
-
-fn consult(key: &TuneKey, cfg: &TuningConfig) -> Option<TunedDecision> {
+    cfg: &TuningConfig,
+) -> Option<TunedDecision> {
     if matches!(cfg.tune, TunePolicy::Heuristic) {
         return None;
     }
-    match TuningDb::global().lookup(key) {
+    match TuningDb::global().lookup(&P::tune_key(shape, count, cfg.width)) {
         Some(entry) => {
             obs::count_tune(obs::TuneEvent::Apply);
             Some(decision_from(entry))
@@ -154,49 +95,6 @@ fn consult(key: &TuneKey, cfg: &TuningConfig) -> Option<TunedDecision> {
             None
         }
     }
-}
-
-pub(crate) fn lookup_gemm<E: CompactElement>(
-    dims: GemmDims,
-    mode: GemmMode,
-    conj_a: bool,
-    conj_b: bool,
-    count: usize,
-    cfg: &TuningConfig,
-) -> Option<TunedDecision> {
-    if matches!(cfg.tune, TunePolicy::Heuristic) {
-        return None; // fast path: skip even key construction
-    }
-    consult(
-        &gemm_tune_key::<E>(dims, mode, conj_a, conj_b, count, cfg.width),
-        cfg,
-    )
-}
-
-pub(crate) fn lookup_trsm<E: CompactElement>(
-    dims: TrsmDims,
-    mode: TrsmMode,
-    conj: bool,
-    count: usize,
-    cfg: &TuningConfig,
-) -> Option<TunedDecision> {
-    if matches!(cfg.tune, TunePolicy::Heuristic) {
-        return None;
-    }
-    consult(&trsm_tune_key::<E>(dims, mode, conj, count, cfg.width), cfg)
-}
-
-pub(crate) fn lookup_trmm<E: CompactElement>(
-    dims: TrsmDims,
-    mode: TrsmMode,
-    conj: bool,
-    count: usize,
-    cfg: &TuningConfig,
-) -> Option<TunedDecision> {
-    if matches!(cfg.tune, TunePolicy::Heuristic) {
-        return None;
-    }
-    consult(&trmm_tune_key::<E>(dims, mode, conj, count, cfg.width), cfg)
 }
 
 /// One sweep candidate: a fully built plan plus the metadata that becomes
@@ -229,16 +127,12 @@ fn measure_count(bytes_per_matrix: usize, count: usize) -> usize {
         .max(1)
 }
 
-/// What a sweep's plan builder returns: the candidate plan, a dedupe
-/// signature (the plan decisions that affect execution), and the plan's
-/// super-block size.
-type BuiltCandidate<P, S> = Option<(P, S, usize)>;
-
-/// Enumerates, builds, and deduplicates the candidate plans for one sweep.
-/// Candidate 0 is always the heuristic baseline.
-fn enumerate_candidates<P, S: PartialEq>(
+/// Enumerates, builds, and deduplicates (by [`CompactOp::signature`]) the
+/// candidate plans for one sweep. Candidate 0 is always the heuristic
+/// baseline.
+fn enumerate_candidates<P: CompactOp>(
     cfg: &TuningConfig,
-    build: &dyn Fn(&TuningConfig) -> BuiltCandidate<P, S>,
+    build: impl Fn(&TuningConfig) -> Option<P>,
 ) -> Vec<Candidate<P>> {
     let base = TuningConfig {
         tune: TunePolicy::Heuristic,
@@ -246,10 +140,11 @@ fn enumerate_candidates<P, S: PartialEq>(
         ..cfg.clone()
     };
     let mut out: Vec<Candidate<P>> = Vec::new();
-    let mut sigs: Vec<S> = Vec::new();
-    let Some((plan, sig, gp0)) = build(&base) else {
+    let mut sigs: Vec<P::Sig> = Vec::new();
+    let Some(plan) = build(&base) else {
         return out;
     };
+    let (sig, gp0) = (plan.signature(), plan.group_packs());
     out.push(Candidate {
         plan,
         pack_code: pack_code(base.pack),
@@ -292,17 +187,17 @@ fn enumerate_candidates<P, S: PartialEq>(
         }
     }
     for (ccfg, records_gp) in specs {
-        if let Some((plan, sig, gp)) = build(&ccfg) {
-            if !sigs.contains(&sig) {
-                sigs.push(sig);
-                out.push(Candidate {
-                    plan,
-                    pack_code: pack_code(ccfg.pack),
-                    l1_fraction: ccfg.l1_budget_fraction,
-                    group_packs: gp,
-                    records_gp,
-                });
-            }
+        let Some(plan) = build(&ccfg) else { continue };
+        let sig = plan.signature();
+        if !sigs.contains(&sig) {
+            sigs.push(sig);
+            out.push(Candidate {
+                group_packs: plan.group_packs(),
+                plan,
+                pack_code: pack_code(ccfg.pack),
+                l1_fraction: ccfg.l1_budget_fraction,
+                records_gp,
+            });
         }
     }
     out
@@ -414,28 +309,21 @@ fn journal_sweep_outcome<P>(
     }
 }
 
-/// Drift remediation for a GEMM input: if the watch layer flagged this
-/// key, evict its stale tuning-db entry — bumping the db generation,
-/// which invalidates every cached plan keyed on it — re-sweep within the
-/// watch retune budget (`IATF_WATCH_RETUNE_MS`), and hand the fresh
-/// measurement back so the drift chart re-arms. Compiles to nothing
-/// unless the `watch` feature is on; never runs under the `Heuristic`
-/// policy (there is no db entry to refresh).
-pub fn maybe_retune_gemm<E: CompactElement>(
-    dims: GemmDims,
-    mode: GemmMode,
-    conj_a: bool,
-    conj_b: bool,
-    count: usize,
-    cfg: &TuningConfig,
-) {
+/// Drift remediation: if the watch layer flagged this input's key, evict
+/// its stale tuning-db entry — bumping the db generation, which
+/// invalidates every cached plan keyed on it — re-sweep within the watch
+/// retune budget (`IATF_WATCH_RETUNE_MS`), and hand the fresh measurement
+/// back so the drift chart re-arms. Compiles to nothing unless the `watch`
+/// feature is on; never runs under the `Heuristic` policy (there is no db
+/// entry to refresh).
+pub fn maybe_retune<P: CompactOp>(shape: P::Shape, count: usize, cfg: &TuningConfig) {
     if !iatf_watch::is_enabled() || matches!(cfg.tune, TunePolicy::Heuristic) {
         return;
     }
-    if dims.validate().is_err() || count == 0 {
+    if P::validate(shape).is_err() || count == 0 {
         return;
     }
-    let key = gemm_tune_key::<E>(dims, mode, conj_a, conj_b, count, cfg.width);
+    let key = P::tune_key(shape, count, cfg.width);
     let Some(drift_event) = iatf_watch::take_retune_cause(&key) else {
         return;
     };
@@ -445,8 +333,7 @@ pub fn maybe_retune_gemm<E: CompactElement>(
     let _cause = iatf_journal::cause_scope(drift_event);
     let db = TuningDb::global();
     db.remove(&key);
-    let budget = iatf_watch::retune_budget_ms();
-    sweep_gemm::<E>(db, key, dims, mode, conj_a, conj_b, count, budget, cfg);
+    sweep::<P>(db, key, shape, count, iatf_watch::retune_budget_ms(), cfg);
     let outcome = db.lookup(&key);
     journal_retune(&key, drift_event, outcome.as_ref());
     match outcome {
@@ -472,303 +359,98 @@ fn journal_retune(key: &TuneKey, drift_event: u64, outcome: Option<&TunedEntry>)
     );
 }
 
-/// Runs the first-touch sweep for a GEMM input if `cfg.tune` asks for one
-/// and the db has no entry yet. Returns whether a tuned entry exists for
-/// the key afterwards. The one-shot API calls this before planning; the
+/// Runs the first-touch sweep for an input if `cfg.tune` asks for one and
+/// the db has no entry yet. Returns whether a tuned entry exists for the
+/// key afterwards. The one-shot API calls this before planning; the
 /// benchmark harness calls it directly to drive tuning.
-pub fn ensure_tuned_gemm<E: CompactElement>(
-    dims: GemmDims,
-    mode: GemmMode,
-    conj_a: bool,
-    conj_b: bool,
-    count: usize,
-    cfg: &TuningConfig,
-) -> bool {
+pub fn ensure_tuned<P: CompactOp>(shape: P::Shape, count: usize, cfg: &TuningConfig) -> bool {
     let TunePolicy::FirstTouch(budget_ms) = cfg.tune else {
         return false;
     };
-    if dims.validate().is_err() || count == 0 {
+    if P::validate(shape).is_err() || count == 0 {
         return false;
     }
-    let key = gemm_tune_key::<E>(dims, mode, conj_a, conj_b, count, cfg.width);
+    let key = P::tune_key(shape, count, cfg.width);
     let db = TuningDb::global();
     if db.lookup(&key).is_none() {
-        sweep_gemm::<E>(db, key, dims, mode, conj_a, conj_b, count, budget_ms, cfg);
+        sweep::<P>(db, key, shape, count, budget_ms, cfg);
     }
     db.lookup(&key).is_some()
 }
 
-#[allow(clippy::too_many_arguments)]
-fn sweep_gemm<E: CompactElement>(
+/// Measures the candidate plans on synthetic operands, races the winner
+/// serially against every core, and records the result under `key`.
+fn sweep<P: CompactOp>(
     db: &TuningDb,
     key: TuneKey,
-    dims: GemmDims,
-    mode: GemmMode,
-    conj_a: bool,
-    conj_b: bool,
+    shape: P::Shape,
     count: usize,
     budget_ms: u64,
     cfg: &TuningConfig,
 ) {
     obs::count_tune(obs::TuneEvent::Sweep);
     let _trace = trace::span_arg(trace::SpanKind::TuneSweep, count as u64);
-    let scalar = core::mem::size_of::<E>();
-    let per_matrix = (dims.m * dims.k + dims.k * dims.n + dims.m * dims.n) * scalar;
-    let mcount = measure_count(per_matrix, count);
-    let cands = enumerate_candidates(cfg, &|c: &TuningConfig| {
-        GemmPlan::<E>::new(dims, mode, conj_a, conj_b, mcount, c)
-            .ok()
-            .map(|p| {
-                let sig = (p.a_plan, p.b_plan, p.group_packs);
-                let gp = p.group_packs;
-                (p, sig, gp)
-            })
-    });
+    let mcount = measure_count(P::matrix_bytes(shape), count);
+    let cands = enumerate_candidates(cfg, |c| P::build(shape, mcount, c).ok());
     if cands.is_empty() {
         return;
     }
     let jsweep = journal_sweep_start(&key, budget_ms, cands.len());
-    let (ar, ac) = dims.a_shape(mode);
-    let (br, bc) = dims.b_shape(mode);
-    let a = CompactBatch::<E>::from_std_at(&StdBatch::random(ar, ac, mcount, 0xA11CE), cfg.width);
-    let b = CompactBatch::<E>::from_std_at(&StdBatch::random(br, bc, mcount, 0xB0B), cfg.width);
-    let c = RefCell::new(CompactBatch::<E>::zeroed_at(dims.m, dims.n, mcount, cfg.width));
-    // β = 0 overwrites C every invocation, so repeated timing reps cannot
-    // accumulate (values stay bounded by the random [0,1) inputs).
-    let (alpha, beta) = (E::one(), E::zero());
-    let report = {
-        let mut runners: Vec<Box<dyn FnMut() + '_>> = cands
+    let ops = RefCell::new(P::operands(shape, mcount, cfg.width));
+    // Times each (plan, parallel) run against the others.
+    let time = |runs: &[(&P, bool)], ms: u64| {
+        let mut runners: Vec<Box<dyn FnMut() + '_>> = runs
             .iter()
-            .map(|cand| {
-                let (a, b, c) = (&a, &b, &c);
-                Box::new(move || {
-                    let _ = cand.plan.execute(alpha, a, b, beta, &mut c.borrow_mut());
-                }) as Box<dyn FnMut() + '_>
+            .map(|&(plan, parallel)| {
+                let ops = &ops;
+                Box::new(move || plan.run_on(parallel, &mut ops.borrow_mut()))
+                    as Box<dyn FnMut() + '_>
             })
             .collect();
-        sweep(Duration::from_millis(budget_ms.max(1)), &mut runners)
+        timed_sweep(Duration::from_millis(ms.max(1)), &mut runners)
     };
+    let serial: Vec<(&P, bool)> = cands.iter().map(|c| (&c.plan, false)).collect();
+    let report = time(&serial, budget_ms);
     let winner = &cands[report.winner];
     // Serial→parallel crossover: race the winner on one thread against the
     // same plan on every core.
-    let parallel = {
-        let mut runners: Vec<Box<dyn FnMut() + '_>> = vec![
-            Box::new(|| {
-                let _ = winner.plan.execute(alpha, &a, &b, beta, &mut c.borrow_mut());
-            }),
-            Box::new(|| {
-                let _ = winner
-                    .plan
-                    .execute_parallel(alpha, &a, &b, beta, &mut c.borrow_mut());
-            }),
-        ];
-        let rep = sweep(Duration::from_millis((budget_ms / 2).max(1)), &mut runners);
-        rep.winner == 1 && rep.strictly_faster(1, 0)
-    };
-    let flops = E::DTYPE.flops_per_mac() as f64 * dims.macs() as f64 * mcount as f64;
+    let race = time(&[(&winner.plan, false), (&winner.plan, true)], budget_ms / 2);
+    let parallel = race.winner == 1 && race.strictly_faster(1, 0);
+    let flops = P::flops(shape, mcount);
     let provenance = journal_sweep_outcome(&key, cfg.width, &cands, &report, parallel, flops, jsweep);
     record_winner(db, key, winner, &report, flops, parallel, provenance);
 }
-
-macro_rules! triangular_tuner {
-    ($ensure:ident, $retune:ident, $sweepfn:ident, $plan:ident, $keyfn:ident, $ensure_doc:literal) => {
-        /// Drift remediation twin of [`maybe_retune_gemm`] for this
-        /// triangular op: evict-and-resweep when the watch layer flagged
-        /// the key.
-        pub fn $retune<E: CompactElement>(
-            dims: TrsmDims,
-            mode: TrsmMode,
-            conj: bool,
-            count: usize,
-            cfg: &TuningConfig,
-        ) {
-            if !iatf_watch::is_enabled() || matches!(cfg.tune, TunePolicy::Heuristic) {
-                return;
-            }
-            if dims.validate().is_err() || count == 0 {
-                return;
-            }
-            let key = $keyfn::<E>(dims, mode, conj, count, cfg.width);
-            let Some(drift_event) = iatf_watch::take_retune_cause(&key) else {
-                return;
-            };
-            obs::count_tune(obs::TuneEvent::Retune);
-            // Journal the whole remediation under the triggering drift.
-            let _cause = iatf_journal::cause_scope(drift_event);
-            let db = TuningDb::global();
-            db.remove(&key);
-            let budget = iatf_watch::retune_budget_ms();
-            $sweepfn::<E>(db, key, dims, mode, conj, count, budget, cfg);
-            let outcome = db.lookup(&key);
-            journal_retune(&key, drift_event, outcome.as_ref());
-            match outcome {
-                Some(entry) => iatf_watch::note_retuned(&key, entry.tuned_gflops, entry.noise),
-                None => iatf_watch::note_retuned(&key, 0.0, 0.0),
-            }
-        }
-
-        #[doc = $ensure_doc]
-        /// and the db has no entry yet. Returns whether a tuned entry
-        /// exists for the key afterwards.
-        pub fn $ensure<E: CompactElement>(
-            dims: TrsmDims,
-            mode: TrsmMode,
-            conj: bool,
-            count: usize,
-            cfg: &TuningConfig,
-        ) -> bool {
-            let TunePolicy::FirstTouch(budget_ms) = cfg.tune else {
-                return false;
-            };
-            if dims.validate().is_err() || count == 0 {
-                return false;
-            }
-            let key = $keyfn::<E>(dims, mode, conj, count, cfg.width);
-            let db = TuningDb::global();
-            if db.lookup(&key).is_none() {
-                $sweepfn::<E>(db, key, dims, mode, conj, count, budget_ms, cfg);
-            }
-            db.lookup(&key).is_some()
-        }
-
-        #[allow(clippy::too_many_arguments)]
-        fn $sweepfn<E: CompactElement>(
-            db: &TuningDb,
-            key: TuneKey,
-            dims: TrsmDims,
-            mode: TrsmMode,
-            conj: bool,
-            count: usize,
-            budget_ms: u64,
-            cfg: &TuningConfig,
-        ) {
-            obs::count_tune(obs::TuneEvent::Sweep);
-            let _trace = trace::span_arg(trace::SpanKind::TuneSweep, count as u64);
-            let q = dims.triangle_order(mode);
-            let scalar = core::mem::size_of::<E>();
-            let per_matrix = (q * q + dims.m * dims.n) * scalar;
-            let mcount = measure_count(per_matrix, count);
-            let cands = enumerate_candidates(cfg, &|c: &TuningConfig| {
-                $plan::<E>::new(dims, mode, conj, mcount, c).ok().map(|p| {
-                    let sig = (p.pack_b_structural, p.group_packs);
-                    let gp = p.group_packs;
-                    (p, sig, gp)
-                })
-            });
-            if cands.is_empty() {
-                return;
-            }
-            let jsweep = journal_sweep_start(&key, budget_ms, cands.len());
-            // Identity A makes the repeated in-place solve/multiply a
-            // bitwise fixed point: X = 1·B every rep, no drift, no
-            // overflow, regardless of how many timing iterations run.
-            let mut a = CompactBatch::<E>::from_std_at(
-                &StdBatch::from_fn(q, q, mcount, |_, i, j| {
-                    if i == j {
-                        E::one()
-                    } else {
-                        E::zero()
-                    }
-                }),
-                cfg.width,
-            );
-            a.pad_triangle_identity();
-            let b = RefCell::new(CompactBatch::<E>::from_std_at(
-                &StdBatch::random(dims.m, dims.n, mcount, 0xF1D0),
-                cfg.width,
-            ));
-            let alpha = E::one();
-            let report = {
-                let mut runners: Vec<Box<dyn FnMut() + '_>> = cands
-                    .iter()
-                    .map(|cand| {
-                        let (a, b) = (&a, &b);
-                        Box::new(move || {
-                            let _ = cand.plan.execute(alpha, a, &mut b.borrow_mut());
-                        }) as Box<dyn FnMut() + '_>
-                    })
-                    .collect();
-                sweep(Duration::from_millis(budget_ms.max(1)), &mut runners)
-            };
-            let winner = &cands[report.winner];
-            // Serial→parallel crossover, as in `sweep_gemm`.
-            let parallel = {
-                let mut runners: Vec<Box<dyn FnMut() + '_>> = vec![
-                    Box::new(|| {
-                        let _ = winner.plan.execute(alpha, &a, &mut b.borrow_mut());
-                    }),
-                    Box::new(|| {
-                        let _ = winner.plan.execute_parallel(alpha, &a, &mut b.borrow_mut());
-                    }),
-                ];
-                let rep = sweep(Duration::from_millis((budget_ms / 2).max(1)), &mut runners);
-                rep.winner == 1 && rep.strictly_faster(1, 0)
-            };
-            let flops = E::DTYPE.flops_per_mac() as f64 * dims.macs(mode) as f64 * mcount as f64;
-            let provenance =
-                journal_sweep_outcome(&key, cfg.width, &cands, &report, parallel, flops, jsweep);
-            record_winner(db, key, winner, &report, flops, parallel, provenance);
-        }
-    };
-}
-
-triangular_tuner!(
-    ensure_tuned_trsm,
-    maybe_retune_trsm,
-    sweep_trsm,
-    TrsmPlan,
-    trsm_tune_key,
-    "Runs the first-touch sweep for a TRSM input if `cfg.tune` asks for one"
-);
-
-triangular_tuner!(
-    ensure_tuned_trmm,
-    maybe_retune_trmm,
-    sweep_trmm,
-    TrmmPlan,
-    trmm_tune_key,
-    "Runs the first-touch sweep for a TRMM input if `cfg.tune` asks for one"
-);
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    use crate::plan::{GemmPlan, GemmShape, TriShape, TrmmPlan, TrsmPlan};
+    use iatf_layout::{GemmDims, GemmMode, TrsmDims, TrsmMode};
+
     #[test]
     fn keys_distinguish_ops_and_inputs() {
         let gd = GemmDims::new(8, 8, 8);
-        let td = TrsmDims::new(8, 8);
-        let tmode = TrsmMode::all()[0];
+        let ts = TriShape::new(TrsmDims::new(8, 8), TrsmMode::all()[0], false);
         let w = VecWidth::W128;
-        let gk = gemm_tune_key::<f32>(gd, GemmMode::NN, false, false, 100, w);
-        let sk = trsm_tune_key::<f32>(td, tmode, false, 100, w);
-        let mk = trmm_tune_key::<f32>(td, tmode, false, 100, w);
+        let gkey = |mode, conj_a, count, width| {
+            GemmPlan::<f32>::tune_key(GemmShape::new(gd, mode, conj_a, false), count, width)
+        };
+        let gk = gkey(GemmMode::NN, false, 100, w);
+        let sk = TrsmPlan::<f32>::tune_key(ts, 100, w);
+        let mk = TrmmPlan::<f32>::tune_key(ts, 100, w);
         assert_ne!(gk, sk);
         assert_ne!(sk, mk);
-        assert_ne!(
-            gk,
-            gemm_tune_key::<f64>(gd, GemmMode::NN, false, false, 100, w)
-        );
-        assert_ne!(
-            gk,
-            gemm_tune_key::<f32>(gd, GemmMode::NT, false, false, 100, w)
-        );
-        assert_ne!(
-            gk,
-            gemm_tune_key::<f32>(gd, GemmMode::NN, true, false, 100, w)
-        );
-        assert_ne!(
-            gk,
-            gemm_tune_key::<f32>(gd, GemmMode::NN, false, false, 101, w)
-        );
+        let shape = GemmShape::new(gd, GemmMode::NN, false, false);
+        assert_ne!(gk, GemmPlan::<f64>::tune_key(shape, 100, w));
+        assert_ne!(gk, gkey(GemmMode::NT, false, 100, w));
+        assert_ne!(gk, gkey(GemmMode::NN, true, 100, w));
+        assert_ne!(gk, gkey(GemmMode::NN, false, 101, w));
         // A db entry recorded at one vector width never answers for
         // another: the width is part of the key itself.
         for other in VecWidth::ALL {
             if other != w {
-                assert_ne!(
-                    gk,
-                    gemm_tune_key::<f32>(gd, GemmMode::NN, false, false, 100, other)
-                );
+                assert_ne!(gk, gkey(GemmMode::NN, false, 100, other));
             }
         }
         // Keys round-trip through the db's string encoding.
@@ -779,23 +461,9 @@ mod tests {
     #[test]
     fn heuristic_policy_never_consults_the_db() {
         let cfg = TuningConfig::default(); // tune: Heuristic
-        assert!(lookup_gemm::<f32>(
-            GemmDims::new(4, 4, 4),
-            GemmMode::NN,
-            false,
-            false,
-            64,
-            &cfg
-        )
-        .is_none());
-        assert!(!ensure_tuned_gemm::<f32>(
-            GemmDims::new(4, 4, 4),
-            GemmMode::NN,
-            false,
-            false,
-            64,
-            &cfg
-        ));
+        let shape = GemmShape::new(GemmDims::new(4, 4, 4), GemmMode::NN, false, false);
+        assert!(lookup::<GemmPlan<f32>>(shape, 64, &cfg).is_none());
+        assert!(!ensure_tuned::<GemmPlan<f32>>(shape, 64, &cfg));
     }
 
     #[test]
@@ -820,7 +488,7 @@ mod tests {
             noise: 0.0,
             provenance: Default::default(),
         });
-        assert_eq!(d.pack, Some(PackPolicy::Never));
+        assert_eq!(d.pack, PackPolicy::Never);
         assert_eq!(d.group_packs, Some(16));
         assert!(d.parallel);
         // group_packs == 0 means "keep the heuristic".
@@ -834,7 +502,7 @@ mod tests {
             noise: 0.0,
             provenance: Default::default(),
         });
-        assert_eq!(d.pack, Some(PackPolicy::Auto));
+        assert_eq!(d.pack, PackPolicy::Auto);
         assert_eq!(d.group_packs, None);
         assert!(!d.parallel);
     }

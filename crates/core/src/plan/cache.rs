@@ -4,9 +4,9 @@
 //! this execution plan at the beginning" and reuses it for the whole group
 //! (§5.3). The one-shot entry points in [`crate::api`] extend that
 //! amortization **across calls**: plans are keyed by every input property
-//! the planner consumes — routine, element type, dimensions, mode,
-//! conjugation flags, group count, and a fingerprint of the tuning config —
-//! so steady-state traffic over repeated shapes skips the Batch Counter,
+//! the planner consumes — the op's [`TuneKey`] (routine, element type,
+//! dimensions, mode, conjugation flags, group count, width) plus a
+//! fingerprint of the tuning config — so steady-state traffic over repeated shapes skips the Batch Counter,
 //! Pack Selecter, and tile decomposition entirely and pays only per-call
 //! validation.
 //!
@@ -32,10 +32,11 @@
 
 use crate::config::{fx_mix, TuningConfig};
 use crate::elem::CompactElement;
-use crate::plan::{GemmPlan, TrmmPlan, TrsmPlan};
+use crate::plan::{CompactOp, GemmPlan, GemmShape, TriShape, TrmmPlan, TrsmPlan};
 use crate::sync::{AtomicU64, Ordering::Relaxed};
 use iatf_layout::{GemmDims, GemmMode, LayoutError, TrsmDims, TrsmMode};
 use iatf_obs as obs;
+use iatf_tune::TuneKey;
 use std::any::Any;
 use std::cell::RefCell;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -49,55 +50,30 @@ pub const SHARD_CAP: usize = 16;
 /// Plans remembered per thread in the lock-free front cache.
 const FRONT_SLOTS: usize = 8;
 
-/// Everything the planners key their decisions on, flattened to primitives.
-#[derive(Copy, Clone, PartialEq, Eq)]
-struct Key {
-    /// 0 = GEMM, 1 = TRSM, 2 = TRMM.
-    op: u8,
-    /// `DType` discriminant.
-    dtype: u8,
-    m: usize,
-    n: usize,
-    k: usize,
-    /// GEMM: transa/transb bits. TRSM/TRMM: side/trans/uplo/diag bits.
-    mode: u8,
-    /// GEMM: conj_a | conj_b << 1. TRSM/TRMM: conj.
-    conj: u8,
-    count: usize,
-    cfg: u64,
-}
-
-impl Key {
-    /// Stable journal-key rendering (tune-key style, minus the width —
-    /// the cfg fingerprint folds it in and travels in the event payload).
-    fn journal_key(&self) -> String {
-        format!(
-            "{}:{}:{}:{}:{}:{}:{}:{}",
-            self.op, self.dtype, self.m, self.n, self.k, self.mode, self.conj, self.count
-        )
-    }
-
-    fn hash64(&self) -> u64 {
-        let tags = ((self.op as u64) << 48)
-            | ((self.dtype as u64) << 32)
-            | ((self.mode as u64) << 16)
-            | (self.conj as u64);
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        h = fx_mix(h, tags);
-        h = fx_mix(h, self.m as u64);
-        h = fx_mix(h, self.n as u64);
-        h = fx_mix(h, self.k as u64);
-        h = fx_mix(h, self.count as u64);
-        h = fx_mix(h, self.cfg);
-        h
-    }
+/// Shard hash of a cache key: the op's [`TuneKey`] and the config
+/// fingerprint (which folds in the db generation for tuning-aware configs).
+/// The key's width is left out because the fingerprint already folds it in.
+fn hash64(key: &TuneKey, cfg: u64) -> u64 {
+    let tags = ((key.op as u64) << 48)
+        | (u64::from(key.dtype) << 32)
+        | (u64::from(key.mode) << 16)
+        | u64::from(key.conj);
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    h = fx_mix(h, tags);
+    h = fx_mix(h, u64::from(key.m));
+    h = fx_mix(h, u64::from(key.n));
+    h = fx_mix(h, u64::from(key.k));
+    h = fx_mix(h, key.count);
+    h = fx_mix(h, cfg);
+    h
 }
 
 type AnyPlan = Arc<dyn Any + Send + Sync>;
 
 struct Entry {
     hash: u64,
-    key: Key,
+    key: TuneKey,
+    cfg: u64,
     plan: AnyPlan,
     last_used: u64,
 }
@@ -153,7 +129,7 @@ struct FrontCache {
     epoch: u64,
     /// Round-robin replacement cursor.
     next: usize,
-    entries: Vec<(Key, AnyPlan)>,
+    entries: Vec<(TuneKey, u64, AnyPlan)>,
 }
 
 impl FrontCache {
@@ -178,26 +154,26 @@ impl FrontCache {
 
     /// Linear scan over the (few) remembered plans. Only meaningful after
     /// [`revalidate`](Self::revalidate) in the same dispatch.
-    fn lookup(&self, key: &Key) -> Option<AnyPlan> {
+    fn lookup(&self, key: &TuneKey, cfg: u64) -> Option<AnyPlan> {
         self.entries
             .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, plan)| Arc::clone(plan))
+            .find(|(k, c, _)| k == key && *c == cfg)
+            .map(|(_, _, plan)| Arc::clone(plan))
     }
 
     /// Step 3 of the epoch protocol: stores `plan` round-robin, unless a
     /// newer epoch was installed since this dispatch observed `epoch` (a
     /// concurrent [`clear`] raced us — the plan is then dropped rather
     /// than remembered under an epoch it does not belong to).
-    fn remember(&mut self, epoch: u64, key: Key, plan: &AnyPlan) {
+    fn remember(&mut self, epoch: u64, key: TuneKey, cfg: u64, plan: &AnyPlan) {
         if self.epoch != epoch {
             return;
         }
         let slot = self.next;
         if self.entries.len() < FRONT_SLOTS {
-            self.entries.push((key, Arc::clone(plan)));
+            self.entries.push((key, cfg, Arc::clone(plan)));
         } else {
-            self.entries[slot] = (key, Arc::clone(plan));
+            self.entries[slot] = (key, cfg, Arc::clone(plan));
         }
         self.next = (slot + 1) % FRONT_SLOTS;
     }
@@ -211,10 +187,10 @@ thread_local! {
 /// cache miss path, so sweep-built and bypass plans stay silent): the
 /// chosen pack/tile/width decisions plus a digest of the full explain
 /// document. Returns the event id for the cache-insert probe to cite.
-fn journal_plan_build(key: &Key, x: &obs::PlanExplain) -> u64 {
+fn journal_plan_build(key: &TuneKey, x: &obs::PlanExplain) -> u64 {
     iatf_journal::publish(
         iatf_journal::EventKind::PlanBuild,
-        &key.journal_key(),
+        &key.encode(),
         0,
         obs::Json::object()
             .set("op", x.op.as_str())
@@ -236,17 +212,18 @@ fn journal_plan_build(key: &Key, x: &obs::PlanExplain) -> u64 {
     )
 }
 
-/// Looks `key` up in the front cache, then its shard; on a miss, builds
+/// Returns the shared plan for this input, building it on first use.
+///
+/// Looks the key up in the front cache, then its shard; on a miss, builds
 /// the plan (outside the shard lock — concurrent same-shape misses may
 /// build twice, and the first insert wins) and caches it in both layers.
-/// `describe` journals the freshly built plan (a no-op closure returning
-/// 0 when the journal is off) and hands back the `plan_build` event id.
-fn get_or_build<P, F, D>(key: Key, build: F, describe: D) -> Result<Arc<P>, LayoutError>
-where
-    P: Send + Sync + 'static,
-    F: FnOnce() -> Result<P, LayoutError>,
-    D: FnOnce(&P) -> u64,
-{
+pub fn cached<P: CompactOp>(
+    shape: P::Shape,
+    count: usize,
+    cfg: &TuningConfig,
+) -> Result<Arc<P>, LayoutError> {
+    let key = P::tune_key(shape, count, cfg.width);
+    let fp = cfg.fingerprint();
     let c = cache();
     // ordering: Relaxed — the epoch is the only shared word of the front
     // protocol and carries no payload of its own: observing a stale value
@@ -260,7 +237,7 @@ where
     let front_hit = FRONT.with(|front| {
         let mut f = front.borrow_mut();
         f.revalidate(epoch);
-        f.lookup(&key)
+        f.lookup(&key, fp)
     });
     if let Some(plan) = front_hit {
         // ordering: Relaxed — monotonic statistics counter; no reader
@@ -272,7 +249,7 @@ where
             .expect("plan cache keys encode the concrete plan type"));
     }
 
-    let hash = key.hash64();
+    let hash = hash64(&key, fp);
     let shard = &c.shards[(hash % SHARDS as u64) as usize];
     let shared: Option<AnyPlan> = {
         let mut s = shard.lock().expect("plan cache shard poisoned");
@@ -280,7 +257,7 @@ where
         let tick = s.tick;
         s.entries
             .iter_mut()
-            .find(|e| e.hash == hash && e.key == key)
+            .find(|e| e.hash == hash && e.cfg == fp && e.key == key)
             .map(|e| {
                 e.last_used = tick;
                 Arc::clone(&e.plan)
@@ -290,17 +267,22 @@ where
         Some(plan) => (plan, true),
         None => {
             // build without holding the shard lock — planning allocates
-            let planned = build()?;
-            let build_event = describe(&planned);
+            let planned = P::build(shape, count, cfg)?;
+            let build_event = if iatf_journal::is_enabled() {
+                journal_plan_build(&key, &planned.explain())
+            } else {
+                0
+            };
             let built: AnyPlan = Arc::new(planned);
             // Journaled outside the shard lock below; `Some` only when
             // this thread actually inserted (the race loser stays quiet).
-            let mut evicted: Option<Key> = None;
+            let mut evicted: Option<(TuneKey, u64)> = None;
             let mut inserted = false;
             let mut s = shard.lock().expect("plan cache shard poisoned");
             s.tick += 1;
             let tick = s.tick;
-            let plan = match s.entries.iter_mut().find(|e| e.hash == hash && e.key == key) {
+            let found = s.entries.iter_mut().find(|e| e.hash == hash && e.cfg == fp && e.key == key);
+            let plan = match found {
                 // another thread inserted while we built: keep its plan
                 Some(e) => {
                     e.last_used = tick;
@@ -315,7 +297,7 @@ where
                             .min_by_key(|(_, e)| e.last_used)
                             .map(|(i, _)| i)
                             .expect("shard at capacity is non-empty");
-                        evicted = Some(s.entries[oldest].key);
+                        evicted = Some((s.entries[oldest].key, s.entries[oldest].cfg));
                         s.entries.swap_remove(oldest);
                         // ordering: Relaxed — monotonic statistics
                         // counter (shard state is guarded by its Mutex).
@@ -325,6 +307,7 @@ where
                     s.entries.push(Entry {
                         hash,
                         key,
+                        cfg: fp,
                         plan: Arc::clone(&built),
                         last_used: tick,
                     });
@@ -334,22 +317,22 @@ where
             };
             drop(s);
             if iatf_journal::is_enabled() && inserted {
-                if let Some(old) = evicted {
+                if let Some((old, old_cfg)) = evicted {
                     iatf_journal::publish(
                         iatf_journal::EventKind::CacheEvict,
-                        &old.journal_key(),
+                        &old.encode(),
                         build_event,
                         obs::Json::object()
-                            .set("cfg", format!("{:016x}", old.cfg).as_str())
+                            .set("cfg", format!("{old_cfg:016x}").as_str())
                             .set("shard", (hash % SHARDS as u64) as usize),
                     );
                 }
                 iatf_journal::publish(
                     iatf_journal::EventKind::CacheInsert,
-                    &key.journal_key(),
+                    &key.encode(),
                     build_event,
                     obs::Json::object()
-                        .set("cfg", format!("{:016x}", key.cfg).as_str())
+                        .set("cfg", format!("{fp:016x}").as_str())
                         .set("shard", (hash % SHARDS as u64) as usize),
                 );
             }
@@ -367,7 +350,7 @@ where
     }
 
     // Remember in the front cache (round-robin over a few slots).
-    FRONT.with(|front| front.borrow_mut().remember(epoch, key, &plan));
+    FRONT.with(|front| front.borrow_mut().remember(epoch, key, fp, &plan));
 
     Ok(plan
         .downcast::<P>()
@@ -381,18 +364,7 @@ pub(crate) fn note_bypass() {
     obs::count_plan_cache(obs::CacheEvent::Bypass);
 }
 
-pub(crate) fn gemm_mode_bits(mode: GemmMode) -> u8 {
-    (mode.transa.is_trans() as u8) | ((mode.transb.is_trans() as u8) << 1)
-}
-
-pub(crate) fn trsm_mode_bits(mode: TrsmMode) -> u8 {
-    ((mode.side == iatf_layout::Side::Right) as u8)
-        | ((mode.trans.is_trans() as u8) << 1)
-        | ((mode.uplo == iatf_layout::Uplo::Upper) as u8) << 2
-        | ((mode.diag == iatf_layout::Diag::Unit) as u8) << 3
-}
-
-/// Returns the shared GEMM plan for this shape, building it on first use.
+/// The shared GEMM plan for this shape (see [`cached`]).
 pub fn cached_gemm_plan<E: CompactElement>(
     dims: GemmDims,
     mode: GemmMode,
@@ -401,30 +373,10 @@ pub fn cached_gemm_plan<E: CompactElement>(
     count: usize,
     cfg: &TuningConfig,
 ) -> Result<Arc<GemmPlan<E>>, LayoutError> {
-    let key = Key {
-        op: 0,
-        dtype: E::DTYPE as u8,
-        m: dims.m,
-        n: dims.n,
-        k: dims.k,
-        mode: gemm_mode_bits(mode),
-        conj: (conj_a as u8) | ((conj_b as u8) << 1),
-        count,
-        cfg: cfg.fingerprint(),
-    };
-    get_or_build(
-        key,
-        || GemmPlan::<E>::new(dims, mode, conj_a, conj_b, count, cfg),
-        |p| {
-            if !iatf_journal::is_enabled() {
-                return 0;
-            }
-            journal_plan_build(&key, &p.explain())
-        },
-    )
+    cached(GemmShape::new(dims, mode, conj_a, conj_b), count, cfg)
 }
 
-/// Returns the shared TRSM plan for this shape, building it on first use.
+/// The shared TRSM plan for this shape (see [`cached`]).
 pub fn cached_trsm_plan<E: CompactElement>(
     dims: TrsmDims,
     mode: TrsmMode,
@@ -432,30 +384,10 @@ pub fn cached_trsm_plan<E: CompactElement>(
     count: usize,
     cfg: &TuningConfig,
 ) -> Result<Arc<TrsmPlan<E>>, LayoutError> {
-    let key = Key {
-        op: 1,
-        dtype: E::DTYPE as u8,
-        m: dims.m,
-        n: dims.n,
-        k: 0,
-        mode: trsm_mode_bits(mode),
-        conj: conj as u8,
-        count,
-        cfg: cfg.fingerprint(),
-    };
-    get_or_build(
-        key,
-        || TrsmPlan::<E>::new(dims, mode, conj, count, cfg),
-        |p| {
-            if !iatf_journal::is_enabled() {
-                return 0;
-            }
-            journal_plan_build(&key, &p.explain())
-        },
-    )
+    cached(TriShape::new(dims, mode, conj), count, cfg)
 }
 
-/// Returns the shared TRMM plan for this shape, building it on first use.
+/// The shared TRMM plan for this shape (see [`cached`]).
 pub fn cached_trmm_plan<E: CompactElement>(
     dims: TrsmDims,
     mode: TrsmMode,
@@ -463,27 +395,7 @@ pub fn cached_trmm_plan<E: CompactElement>(
     count: usize,
     cfg: &TuningConfig,
 ) -> Result<Arc<TrmmPlan<E>>, LayoutError> {
-    let key = Key {
-        op: 2,
-        dtype: E::DTYPE as u8,
-        m: dims.m,
-        n: dims.n,
-        k: 0,
-        mode: trsm_mode_bits(mode),
-        conj: conj as u8,
-        count,
-        cfg: cfg.fingerprint(),
-    };
-    get_or_build(
-        key,
-        || TrmmPlan::<E>::new(dims, mode, conj, count, cfg),
-        |p| {
-            if !iatf_journal::is_enabled() {
-                return 0;
-            }
-            journal_plan_build(&key, &p.explain())
-        },
-    )
+    cached(TriShape::new(dims, mode, conj), count, cfg)
 }
 
 /// Point-in-time plan-cache statistics. Always live (plain atomics,
@@ -572,9 +484,11 @@ mod loom_models {
     use crate::sync::AtomicU64;
     use loom::thread;
 
-    fn model_key() -> Key {
-        Key {
-            op: 0,
+    const CFG: u64 = 7;
+
+    fn model_key() -> TuneKey {
+        TuneKey {
+            op: iatf_tune::TuneOp::Gemm,
             dtype: 1,
             m: 4,
             n: 4,
@@ -582,7 +496,7 @@ mod loom_models {
             mode: 0,
             conj: 0,
             count: 32,
-            cfg: 7,
+            width: 1,
         }
     }
 
@@ -611,7 +525,7 @@ mod loom_models {
             // observed.
             let e1 = epoch.load(Relaxed);
             front.revalidate(e1);
-            front.remember(e1, key, &tagged(e1));
+            front.remember(e1, key, CFG, &tagged(e1));
 
             // Concurrent clear(): the epoch bump, as clear() issues it.
             let writer = {
@@ -625,7 +539,7 @@ mod loom_models {
             // plan it serves must carry exactly that epoch.
             let e2 = epoch.load(Relaxed);
             front.revalidate(e2);
-            if let Some(plan) = front.lookup(&key) {
+            if let Some(plan) = front.lookup(&key, CFG) {
                 assert_eq!(
                     tag_of(&plan),
                     e2,
@@ -641,7 +555,7 @@ mod loom_models {
             assert_eq!(e3, 1);
             front.revalidate(e3);
             assert!(
-                front.lookup(&key).is_none(),
+                front.lookup(&key, CFG).is_none(),
                 "plan from generation 0 survived the generation bump"
             );
         });
@@ -674,14 +588,14 @@ mod loom_models {
             // remember of a long build can follow a fresher revalidate).
             let e2 = epoch.load(Relaxed);
             front.revalidate(e2);
-            front.remember(e1, key, &tagged(e1));
+            front.remember(e1, key, CFG, &tagged(e1));
 
             // If the front moved on to epoch 1, the stale remember must
             // have been dropped; if it is still on epoch 0, the entry is
             // legitimately epoch-0 and dispatch 3 below clears it.
             if e2 > e1 {
                 assert!(
-                    front.lookup(&key).is_none(),
+                    front.lookup(&key, CFG).is_none(),
                     "remember stored a plan under a dead epoch"
                 );
             }
@@ -690,7 +604,7 @@ mod loom_models {
 
             let e3 = epoch.load(Relaxed);
             front.revalidate(e3);
-            if let Some(plan) = front.lookup(&key) {
+            if let Some(plan) = front.lookup(&key, CFG) {
                 assert_eq!(tag_of(&plan), e3);
             }
         });
@@ -707,21 +621,9 @@ mod tests {
     // models above prove the same invariant exhaustively but only within
     // the checker's preemption bound).
     #[test]
-    fn mode_bits_are_injective() {
-        let mut seen = std::collections::HashSet::new();
-        for mode in GemmMode::ALL {
-            assert!(seen.insert(gemm_mode_bits(mode)));
-        }
-        let mut seen = std::collections::HashSet::new();
-        for mode in TrsmMode::all() {
-            assert!(seen.insert(trsm_mode_bits(mode)));
-        }
-    }
-
-    #[test]
     fn key_hash_separates_nearby_keys() {
-        let base = Key {
-            op: 0,
+        let base = TuneKey {
+            op: iatf_tune::TuneOp::Gemm,
             dtype: 1,
             m: 4,
             n: 4,
@@ -729,25 +631,26 @@ mod tests {
             mode: 0,
             conj: 0,
             count: 32,
-            cfg: 7,
+            width: 1,
         };
         let mut hashes = std::collections::HashSet::new();
-        hashes.insert(base.hash64());
-        for (i, variant) in [
-            Key { op: 1, ..base },
-            Key { dtype: 2, ..base },
-            Key { m: 5, ..base },
-            Key { n: 5, ..base },
-            Key { k: 5, ..base },
-            Key { mode: 1, ..base },
-            Key { conj: 1, ..base },
-            Key { count: 33, ..base },
-            Key { cfg: 8, ..base },
+        hashes.insert(hash64(&base, 7));
+        for (i, (variant, cfg)) in [
+            (TuneKey { op: iatf_tune::TuneOp::Trsm, ..base }, 7),
+            (TuneKey { op: iatf_tune::TuneOp::Trmm, ..base }, 7),
+            (TuneKey { dtype: 2, ..base }, 7),
+            (TuneKey { m: 5, ..base }, 7),
+            (TuneKey { n: 5, ..base }, 7),
+            (TuneKey { k: 5, ..base }, 7),
+            (TuneKey { mode: 1, ..base }, 7),
+            (TuneKey { conj: 1, ..base }, 7),
+            (TuneKey { count: 33, ..base }, 7),
+            (base, 8),
         ]
         .into_iter()
         .enumerate()
         {
-            assert!(hashes.insert(variant.hash64()), "collision at field {i}");
+            assert!(hashes.insert(hash64(&variant, cfg)), "collision at field {i}");
         }
     }
 
@@ -780,8 +683,8 @@ mod tests {
             })
         };
 
-        let key = Key {
-            op: 0,
+        let key = TuneKey {
+            op: iatf_tune::TuneOp::Gemm,
             dtype: 1,
             m: 8,
             n: 8,
@@ -789,7 +692,7 @@ mod tests {
             mode: 0,
             conj: 0,
             count: 1,
-            cfg: 42,
+            width: 1,
         };
         let workers: Vec<_> = (0..WORKERS)
             .map(|_| {
@@ -801,7 +704,7 @@ mod tests {
                         // lookup, remember under the observed value.
                         let e = epoch.load(Relaxed);
                         front.revalidate(e);
-                        if let Some(plan) = front.lookup(&key) {
+                        if let Some(plan) = front.lookup(&key, 42) {
                             let tag = *plan
                                 .downcast::<u64>()
                                 .expect("stress plans are epoch tags");
@@ -811,7 +714,7 @@ mod tests {
                             );
                         }
                         let plan: AnyPlan = Arc::new(e);
-                        front.remember(e, key, &plan);
+                        front.remember(e, key, 42, &plan);
                     }
                 })
             })

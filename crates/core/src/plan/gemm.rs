@@ -4,13 +4,17 @@ use crate::autotune;
 use crate::config::{PackPolicy, TuningConfig};
 use crate::elem::CompactElement;
 use crate::exec;
-use crate::plan::{explain as ex, group_packs, tiles, Command};
-use iatf_layout::{CompactBatch, GemmDims, GemmMode, LayoutError};
-use iatf_simd::VecWidth;
+use crate::plan::{
+    batching, check_shape, explain as ex, gemm_mode_bits, sealed, tiles, tune_key, Command,
+    CompactOp, GemmShape,
+};
+use iatf_layout::{CompactBatch, GemmDims, GemmMode, LayoutError, StdBatch};
 use iatf_obs as obs;
 use iatf_pack::gemm as pk;
-use iatf_trace as trace;
 use iatf_pack::PackBuffer;
+use iatf_simd::VecWidth;
+use iatf_trace as trace;
+use iatf_tune::{TuneKey, TuneOp};
 use std::sync::OnceLock;
 
 /// How one GEMM operand is accessed (Pack Selecter output).
@@ -80,12 +84,13 @@ impl<E: CompactElement> GemmPlan<E> {
 
         // A tuned entry (when the policy consults the db) overrides the
         // static Pack Selecter / Batch Counter outputs below.
-        let tuned = autotune::lookup_gemm::<E>(dims, mode, conj_a, conj_b, count, cfg);
+        let tuned =
+            autotune::lookup::<Self>(GemmShape::new(dims, mode, conj_a, conj_b), count, cfg);
 
         // Pack Selecter (§5.2): pack only when the kernel cannot stream the
         // operand — more than one tile row/column — or when conjugation must
         // happen during a copy. Policy overrides support the ablations.
-        let pack_policy = tuned.and_then(|t| t.pack).unwrap_or(cfg.pack);
+        let pack_policy = tuned.map_or(cfg.pack, |t| t.pack);
         let a_plan = decide(pack_policy, conj_a, dims.m > E::MR);
         let b_plan = decide(pack_policy, conj_b, dims.n > E::NR);
 
@@ -97,10 +102,7 @@ impl<E: CompactElement> GemmPlan<E> {
         let bytes_per_pack =
             (a_panel_len + b_panel_len + dims.m * dims.n * g) * scalar_bytes;
         let packs = count.div_ceil(p);
-        let gp = match tuned.and_then(|t| t.group_packs) {
-            Some(tuned_gp) => tuned_gp.clamp(1, packs.max(1)),
-            None => group_packs(cfg.batch, cfg.l1_budget_bytes(), bytes_per_pack, packs),
-        };
+        let (gp, use_parallel) = batching(tuned, cfg, bytes_per_pack, packs);
 
         let tile_kernels = n_tiles
             .iter()
@@ -127,10 +129,7 @@ impl<E: CompactElement> GemmPlan<E> {
             m_tiles,
             n_tiles,
             tile_kernels,
-            use_parallel: tuned.map_or_else(
-                || exec::prefers_parallel(packs * bytes_per_pack, packs.div_ceil(gp)),
-                |t| t.parallel,
-            ),
+            use_parallel,
             a_panel_len,
             b_panel_len,
             commands: OnceLock::new(),
@@ -174,13 +173,10 @@ impl<E: CompactElement> GemmPlan<E> {
         b: &CompactBatch<E>,
         c: &CompactBatch<E>,
     ) -> Result<(), LayoutError> {
-        let (ar, ac) = self.dims.a_shape(self.mode);
-        check_shape("A", a, ar, ac, self.count, self.width)?;
-        let (br, bc) = self.dims.b_shape(self.mode);
-        check_shape("B", b, br, bc, self.count, self.width)?;
-        let (cr, cc) = self.dims.c_shape();
-        check_shape("C", c, cr, cc, self.count, self.width)?;
-        Ok(())
+        let d = self.dims;
+        check_shape("A", a, d.a_shape(self.mode), self.count, self.width)?;
+        check_shape("B", b, d.b_shape(self.mode), self.count, self.width)?;
+        check_shape("C", c, d.c_shape(), self.count, self.width)
     }
 
     /// Executes the plan: `C = α·op(A)·op(B) + β·C`.
@@ -214,7 +210,8 @@ impl<E: CompactElement> GemmPlan<E> {
         self.run(true, alpha, a, b, beta, c)
     }
 
-    fn run(
+    /// Validates, then runs every super-block serially or on every core.
+    pub(crate) fn run(
         &self,
         parallel: bool,
         alpha: E,
@@ -510,6 +507,69 @@ impl<E: CompactElement> GemmPlan<E> {
     }
 }
 
+impl<E: CompactElement> sealed::Sealed for GemmPlan<E> {}
+
+impl<E: CompactElement> CompactOp for GemmPlan<E> {
+    type Shape = GemmShape;
+    type Sig = (OperandPlan, OperandPlan, usize);
+    /// `[A, B, C]`.
+    type Operands = [CompactBatch<E>; 3];
+
+    fn validate(s: GemmShape) -> Result<(), LayoutError> {
+        s.dims.validate()
+    }
+
+    fn tune_key(s: GemmShape, count: usize, width: VecWidth) -> TuneKey {
+        let d = s.dims;
+        let conj = (s.conj_a as u8) | ((s.conj_b as u8) << 1);
+        let bits = (gemm_mode_bits(s.mode), conj);
+        tune_key(TuneOp::Gemm, E::DTYPE, (d.m, d.n, d.k), bits, count, width)
+    }
+
+    fn flops(s: GemmShape, count: usize) -> f64 {
+        super::flops::<E>(s.dims.macs(), count)
+    }
+
+    fn matrix_bytes(s: GemmShape) -> usize {
+        let d = s.dims;
+        (d.m * d.k + d.k * d.n + d.m * d.n) * core::mem::size_of::<E>()
+    }
+
+    fn build(s: GemmShape, count: usize, cfg: &TuningConfig) -> Result<Self, LayoutError> {
+        Self::new(s.dims, s.mode, s.conj_a, s.conj_b, count, cfg)
+    }
+
+    fn use_parallel(&self) -> bool {
+        self.use_parallel
+    }
+
+    fn explain(&self) -> obs::PlanExplain {
+        GemmPlan::explain(self)
+    }
+
+    fn signature(&self) -> Self::Sig {
+        (self.a_plan, self.b_plan, self.group_packs)
+    }
+
+    fn group_packs(&self) -> usize {
+        self.group_packs
+    }
+
+    fn operands(s: GemmShape, count: usize, width: VecWidth) -> Self::Operands {
+        let (ar, ac) = s.dims.a_shape(s.mode);
+        let (br, bc) = s.dims.b_shape(s.mode);
+        [
+            CompactBatch::from_std_at(&StdBatch::random(ar, ac, count, 0xA11CE), width),
+            CompactBatch::from_std_at(&StdBatch::random(br, bc, count, 0xB0B), width),
+            CompactBatch::zeroed_at(s.dims.m, s.dims.n, count, width),
+        ]
+    }
+
+    fn run_on(&self, parallel: bool, [a, b, c]: &mut Self::Operands) {
+        // β = 0 overwrites C every rep, so timing reps cannot accumulate.
+        let _ = self.run(parallel, E::one(), a, b, E::zero(), c);
+    }
+}
 
 fn decide(policy: PackPolicy, conj: bool, needs_pack: bool) -> OperandPlan {
     match policy {
@@ -529,38 +589,6 @@ fn decide(policy: PackPolicy, conj: bool, needs_pack: bool) -> OperandPlan {
             }
         }
     }
-}
-
-fn check_shape<E: CompactElement>(
-    operand: &'static str,
-    batch: &CompactBatch<E>,
-    rows: usize,
-    cols: usize,
-    count: usize,
-    width: VecWidth,
-) -> Result<(), LayoutError> {
-    if batch.width() != width {
-        return Err(LayoutError::WidthMismatch {
-            operand,
-            expected: width,
-            got: batch.width(),
-        });
-    }
-    if (batch.rows(), batch.cols()) != (rows, cols) {
-        return Err(LayoutError::ShapeMismatch {
-            operand,
-            expected: (rows, cols),
-            got: (batch.rows(), batch.cols()),
-        });
-    }
-    if batch.count() != count {
-        return Err(LayoutError::BatchMismatch {
-            operand,
-            expected: count,
-            got: batch.count(),
-        });
-    }
-    Ok(())
 }
 
 #[cfg(test)]

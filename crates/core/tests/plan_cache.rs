@@ -5,8 +5,11 @@
 //! on one mutex and starts from `cache::clear()`.
 
 use iatf_core::plan::cache;
-use iatf_core::{compact_gemm, compact_trmm, compact_trsm, PlanCachePolicy, TuningConfig};
-use iatf_layout::{CompactBatch, GemmMode, StdBatch, TrsmMode};
+use iatf_core::{
+    compact_gemm, compact_trmm, compact_trsm, CompactElement, PlanCachePolicy, TuningConfig,
+};
+use iatf_layout::{CompactBatch, Diag, GemmMode, StdBatch, TrsmMode, Uplo};
+use iatf_simd::{c32, c64, Real};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 fn lock() -> MutexGuard<'static, ()> {
@@ -72,21 +75,80 @@ fn distinct_ops_and_configs_do_not_collide() {
     assert_eq!((s.misses, s.entries), (3, 3));
 }
 
-#[test]
-fn bypass_policy_skips_the_cache() {
-    let _g = lock();
-    let cfg = TuningConfig {
+#[derive(Copy, Clone, Debug)]
+enum Op {
+    Gemm,
+    Trsm,
+    Trmm,
+}
+
+/// Runs `op` once on fixed operands (TRSM/TRMM: upper-triangular A, so B
+/// panels are packed; α ≠ 1) and returns the bit pattern of its output.
+fn op_once<E: CompactElement>(op: Op, cfg: &TuningConfig) -> Vec<u64> {
+    const M: usize = 6;
+    const N: usize = 5;
+    const COUNT: usize = 37;
+    let bits = |x: &CompactBatch<E>| -> Vec<u64> {
+        x.as_scalars().iter().map(|v| v.to_f64().to_bits()).collect()
+    };
+    let half = E::from_f64s(0.5, 0.25);
+    let mut out = CompactBatch::<E>::from_std(&StdBatch::random(M, N, COUNT, 3));
+    match op {
+        Op::Gemm => {
+            let a = CompactBatch::<E>::from_std(&StdBatch::random(M, 4, COUNT, 1));
+            let b = CompactBatch::<E>::from_std(&StdBatch::random(4, N, COUNT, 2));
+            compact_gemm(GemmMode::NN, half, &a, &b, E::one(), &mut out, cfg).unwrap();
+        }
+        Op::Trsm | Op::Trmm => {
+            let tri = StdBatch::random_triangular(M, COUNT, Uplo::Upper, Diag::NonUnit, 4);
+            let a = CompactBatch::<E>::from_std(&tri);
+            if matches!(op, Op::Trsm) {
+                compact_trsm(TrsmMode::LNUN, half, &a, &mut out, cfg).unwrap();
+            } else {
+                compact_trmm(TrsmMode::LNUN, half, &a, &mut out, cfg).unwrap();
+            }
+        }
+    }
+    bits(&out)
+}
+
+/// Cache vs bypass for every op at one dtype: bit-identical outputs and
+/// exact hit/miss/bypass counts; TRSM and TRMM of equal dims key apart.
+fn cache_vs_bypass<E: CompactElement>() {
+    let shared = TuningConfig::default();
+    let bypass = TuningConfig {
         plan_cache: PlanCachePolicy::Bypass,
         ..TuningConfig::default()
     };
-    let shared = gemm_once(6, 5, 4, 16, &TuningConfig::default());
-    let bypassed = gemm_once(6, 5, 4, 16, &cfg);
-    // same plan either way — bypass changes lifetime, not results
-    assert_eq!(shared.as_scalars(), bypassed.as_scalars());
+    for op in [Op::Gemm, Op::Trsm, Op::Trmm] {
+        cache::clear();
+        let what = format!("{op:?} {}", E::DTYPE);
+        let cold = op_once::<E>(op, &shared);
+        let warm = op_once::<E>(op, &shared);
+        let fresh = op_once::<E>(op, &bypass);
+        // bypass changes plan lifetime, never results
+        assert_eq!(cold, warm, "{what}: cache hit diverged");
+        assert_eq!(cold, fresh, "{what}: bypass diverged");
+        let s = cache::stats();
+        assert_eq!((s.hits, s.misses, s.bypasses, s.entries), (1, 1, 1, 1), "{what}");
+        op_once::<E>(op, &bypass);
+        let s = cache::stats();
+        assert_eq!((s.hits, s.misses, s.bypasses, s.entries), (1, 1, 2, 1), "{what}");
+    }
+    cache::clear();
+    op_once::<E>(Op::Trsm, &shared);
+    op_once::<E>(Op::Trmm, &shared);
     let s = cache::stats();
-    assert_eq!((s.misses, s.bypasses, s.entries), (1, 1, 1));
-    gemm_once(6, 5, 4, 16, &cfg);
-    assert_eq!(cache::stats().bypasses, 2);
+    assert_eq!((s.hits, s.misses, s.entries), (0, 2, 2), "TRSM/TRMM collided for {}", E::DTYPE);
+}
+
+#[test]
+fn bypass_policy_skips_the_cache() {
+    let _g = lock();
+    cache_vs_bypass::<f32>();
+    cache_vs_bypass::<f64>();
+    cache_vs_bypass::<c32>();
+    cache_vs_bypass::<c64>();
 }
 
 #[test]

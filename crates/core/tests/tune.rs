@@ -14,15 +14,14 @@
 //! The tuning db and plan cache are process-global, so every test
 //! serializes on one mutex, disables db persistence, and starts clean.
 
-use iatf_core::autotune::{gemm_tune_key, trmm_tune_key, trsm_tune_key};
 use iatf_core::plan::cache;
 use iatf_core::{
-    compact_gemm, compact_trmm, compact_trsm, CompactElement, GemmPlan, PlanCachePolicy,
-    TrmmPlan, TrsmPlan, TunePolicy, TuningConfig,
+    compact_gemm, compact_trmm, compact_trsm, CompactElement, CompactOp, GemmPlan, GemmShape,
+    PlanCachePolicy, TriShape, TrmmPlan, TrsmPlan, TunePolicy, TuningConfig,
 };
 use iatf_layout::{CompactBatch, GemmDims, GemmMode, StdBatch, TrsmDims, TrsmMode};
 use iatf_simd::{c32, c64, dispatched_width, Real};
-use iatf_tune::{TunedEntry, TuningDb};
+use iatf_tune::{TuneKey, TunedEntry, TuningDb};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Serializes tests and resets the global tuning db (persistence off, so
@@ -79,8 +78,22 @@ fn cached_cfg() -> TuningConfig {
     }
 }
 
-/// Group count divisible by every dtype's pack width (f32 P=4, rest ≤ 4).
-const COUNT: usize = 16;
+/// Three packs at the widest interleaving factor (f32 at 512 bits, P=16),
+/// so every dtype at every width fills its lanes and has at least three
+/// packs: the forced `group_packs: 2` then always differs from the
+/// heuristic's super-block size instead of clamping to it.
+const COUNT: usize = 3 * 16;
+
+/// The db key the planners use for an NN GEMM input.
+fn gemm_key<E: CompactElement>(dims: GemmDims) -> TuneKey {
+    let shape = GemmShape::new(dims, GemmMode::NN, false, false);
+    GemmPlan::<E>::tune_key(shape, COUNT, dispatched_width())
+}
+
+/// The db key for a TRSM (`P = TrsmPlan<E>`) or TRMM input.
+fn tri_key<P: CompactOp<Shape = TriShape>>(dims: TrsmDims, mode: TrsmMode) -> TuneKey {
+    P::tune_key(TriShape::new(dims, mode, false), COUNT, dispatched_width())
+}
 
 fn gemm_bitexact<E: CompactElement>(m: usize, n: usize, k: usize) {
     let dims = GemmDims::new(m, n, k);
@@ -94,7 +107,7 @@ fn gemm_bitexact<E: CompactElement>(m: usize, n: usize, k: usize) {
     let c_heuristic = run(&heuristic_cfg());
 
     TuningDb::global().record(
-        gemm_tune_key::<E>(dims, GemmMode::NN, false, false, COUNT, dispatched_width()),
+        gemm_key::<E>(dims),
         forced_entry(),
     );
     let cfg = cached_cfg();
@@ -130,9 +143,7 @@ fn trsm_bitexact<E: CompactElement>(q: usize, n: usize) {
     };
     let x_heuristic = run(&heuristic_cfg());
 
-    TuningDb::global().record(trsm_tune_key::<E>(dims, mode, false, COUNT, dispatched_width()),
-        forced_entry(),
-    );
+    TuningDb::global().record(tri_key::<TrsmPlan<E>>(dims, mode), forced_entry());
     let cfg = cached_cfg();
     let ph = TrsmPlan::<E>::new(dims, mode, false, COUNT, &heuristic_cfg()).unwrap();
     let pt = TrsmPlan::<E>::new(dims, mode, false, COUNT, &cfg).unwrap();
@@ -164,9 +175,7 @@ fn trmm_bitexact<E: CompactElement>(q: usize, n: usize) {
     };
     let y_heuristic = run(&heuristic_cfg());
 
-    TuningDb::global().record(trmm_tune_key::<E>(dims, mode, false, COUNT, dispatched_width()),
-        forced_entry(),
-    );
+    TuningDb::global().record(tri_key::<TrmmPlan<E>>(dims, mode), forced_entry());
     let cfg = cached_cfg();
     let ph = TrmmPlan::<E>::new(dims, mode, false, COUNT, &heuristic_cfg()).unwrap();
     let pt = TrmmPlan::<E>::new(dims, mode, false, COUNT, &cfg).unwrap();
@@ -227,10 +236,7 @@ fn generation_bump_invalidates_cached_plans() {
 
     // Recording any winner bumps the generation: the old cached plan's key
     // no longer matches, so the next call rebuilds with the new db state.
-    TuningDb::global().record(
-        gemm_tune_key::<f64>(dims, GemmMode::NN, false, false, COUNT, dispatched_width()),
-        forced_entry(),
-    );
+    TuningDb::global().record(gemm_key::<f64>(dims), forced_entry());
     run(&mut c);
     let s3 = cache::stats();
     assert_eq!(s3.misses, 2, "generation bump must invalidate the cached plan");
@@ -239,10 +245,7 @@ fn generation_bump_invalidates_cached_plans() {
     // thus cached plans) survive db mutations.
     let heuristic = TuningConfig::default();
     let f = heuristic.fingerprint();
-    TuningDb::global().record(
-        gemm_tune_key::<f64>(GemmDims::new(2, 2, 2), GemmMode::NN, false, false, COUNT, dispatched_width()),
-        forced_entry(),
-    );
+    TuningDb::global().record(gemm_key::<f64>(GemmDims::new(2, 2, 2)), forced_entry());
     assert_eq!(f, heuristic.fingerprint());
 }
 
@@ -255,10 +258,7 @@ fn corrupt_db_degrades_to_heuristic_plans() {
     std::fs::write(&path, "{\"schema\": 1, \"entr").unwrap();
 
     let db = TuningDb::global();
-    db.record(
-        gemm_tune_key::<f64>(GemmDims::new(6, 6, 6), GemmMode::NN, false, false, COUNT, dispatched_width()),
-        forced_entry(),
-    );
+    db.record(gemm_key::<f64>(GemmDims::new(6, 6, 6)), forced_entry());
     assert_eq!(db.load_from(&path), iatf_tune::LoadOutcome::Corrupt);
     assert!(db.is_empty());
 
@@ -289,14 +289,7 @@ fn first_touch_sweeps_records_and_stays_bit_identical() {
     };
     let mut c_t = CompactBatch::<f32>::zeroed(m, m, COUNT);
     compact_gemm(GemmMode::NN, 1.0, &a, &b, 0.0, &mut c_t, &cfg).unwrap();
-    let key = gemm_tune_key::<f32>(
-        GemmDims::new(m, m, m),
-        GemmMode::NN,
-        false,
-        false,
-        COUNT,
-        dispatched_width(),
-    );
+    let key = gemm_key::<f32>(GemmDims::new(m, m, m));
     let entry = db.lookup(&key).expect("first touch must record a winner");
     assert!(entry.tuned_gflops > 0.0 && entry.tuned_gflops.is_finite());
     assert!(entry.tuned_gflops >= entry.heuristic_gflops * 0.99999);
@@ -317,23 +310,7 @@ fn first_touch_sweeps_records_and_stays_bit_identical() {
     ));
     let mut tb = CompactBatch::<f64>::from_std(&StdBatch::random(m, m, COUNT, 10));
     compact_trsm(mode, 1.0, &ta, &mut tb, &cfg).unwrap();
-    assert!(db
-        .lookup(&trsm_tune_key::<f64>(
-            TrsmDims::new(m, m),
-            mode,
-            false,
-            COUNT,
-            dispatched_width()
-        ))
-        .is_some());
+    assert!(db.lookup(&tri_key::<TrsmPlan<f64>>(TrsmDims::new(m, m), mode)).is_some());
     compact_trmm(mode, 1.0, &ta, &mut tb, &cfg).unwrap();
-    assert!(db
-        .lookup(&trmm_tune_key::<f64>(
-            TrsmDims::new(m, m),
-            mode,
-            false,
-            COUNT,
-            dispatched_width()
-        ))
-        .is_some());
+    assert!(db.lookup(&tri_key::<TrmmPlan<f64>>(TrsmDims::new(m, m), mode)).is_some());
 }

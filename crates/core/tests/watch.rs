@@ -7,7 +7,8 @@
 
 use iatf_core::watch;
 use iatf_core::{
-    compact_gemm, ensure_tuned_gemm, gemm_tune_key, PlanCachePolicy, TunePolicy, TuningConfig,
+    compact_gemm, ensure_tuned, CompactOp, GemmPlan, GemmShape, PlanCachePolicy, TunePolicy,
+    TuningConfig,
 };
 use iatf_layout::{CompactBatch, GemmDims, GemmMode, StdBatch};
 use iatf_tune::{TuningDb, TuneKey};
@@ -37,15 +38,12 @@ fn operands() -> (CompactBatch<f32>, CompactBatch<f32>, CompactBatch<f32>) {
     (a, b, c)
 }
 
+fn shape() -> GemmShape {
+    GemmShape::new(GemmDims::new(M, M, M), GemmMode::NN, false, false)
+}
+
 fn the_key() -> TuneKey {
-    gemm_tune_key::<f32>(
-        GemmDims::new(M, M, M),
-        GemmMode::NN,
-        false,
-        false,
-        COUNT,
-        iatf_simd::dispatched_width(),
-    )
+    GemmPlan::<f32>::tune_key(shape(), COUNT, iatf_simd::dispatched_width())
 }
 
 #[test]
@@ -68,14 +66,7 @@ fn drift_triggers_retune_and_generation_bump() {
     }
 
     // Tune + enough warm traffic to calibrate and settle the chart.
-    assert!(ensure_tuned_gemm::<f32>(
-        GemmDims::new(M, M, M),
-        GemmMode::NN,
-        false,
-        false,
-        COUNT,
-        &cfg
-    ));
+    assert!(ensure_tuned::<GemmPlan<f32>>(shape(), COUNT, &cfg));
     for _ in 0..64 {
         compact_gemm(GemmMode::NN, 1.0, &a, &b, 0.0, &mut c, &cfg).unwrap();
     }

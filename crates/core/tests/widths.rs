@@ -13,7 +13,7 @@
 //!   built for another width: the width is part of the `TuneKey`.
 
 use iatf_baselines::naive;
-use iatf_core::autotune::gemm_tune_key;
+use iatf_core::{CompactOp, GemmShape};
 use iatf_core::{
     compact_gemm, compact_trmm, compact_trsm, CompactElement, GemmPlan, PlanCachePolicy,
     TunePolicy, TuningConfig,
@@ -177,7 +177,11 @@ fn db_entry_from_one_width_never_serves_another() {
     const COUNT: usize = 16;
     // Record a winner at W128 that provably changes plan structure.
     db.record(
-        gemm_tune_key::<f32>(dims, GemmMode::NN, false, false, COUNT, VecWidth::W128),
+        GemmPlan::<f32>::tune_key(
+            GemmShape::new(dims, GemmMode::NN, false, false),
+            COUNT,
+            VecWidth::W128,
+        ),
         TunedEntry {
             pack: 1, // Always
             group_packs: 2,

@@ -19,7 +19,8 @@ echo "==> tier-1: workspace-root tests"
 cargo test -q
 
 echo "==> tier-1: width matrix (forced vector width per executable backend)"
-# Reruns the tier-1 suite under IATF_FORCE_WIDTH for every backend the
+# Reruns the tier-1 suite and the iatf-core suite (planner, cache,
+# autotuner and executor tests) under IATF_FORCE_WIDTH for every backend the
 # host can execute (`reproduce backends`): scalar and 128 everywhere,
 # 256/512 where the CPU reports AVX2/AVX-512F. The unforced run above
 # already covered the widest backend at its default dispatch; forcing
@@ -30,6 +31,8 @@ echo "    executable widths: ${WIDTHS//$'\n'/ }"
 for w in $WIDTHS; do
   echo "    ==> tier-1 at IATF_FORCE_WIDTH=$w"
   IATF_FORCE_WIDTH=$w cargo test -q
+  echo "    ==> iatf-core at IATF_FORCE_WIDTH=$w"
+  IATF_FORCE_WIDTH=$w cargo test -q -p iatf-core
 done
 
 echo "==> obs feature OFF is the default release artifact (built above)"
